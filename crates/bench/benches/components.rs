@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the simulator's building blocks: BTB
 //! lookups across organizations, cache accesses, direction predictors, and
 //! the trace codec. These establish that paper-scale parameter sweeps are
-//! computationally feasible (the experiment binaries are the actual
+//! computationally feasible (`fdip exp` and `exp_all` are the actual
 //! table/figure generators).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};

@@ -1,5 +1,5 @@
 //! Chaos soak benchmark: drives [`fdip_sim::chaos::run_chaos`] and
-//! persists the recovery metrics (MTTR, readmissions, hedge counts,
+//! persists the recovery metrics (MTTR, readmissions, re-dispatches,
 //! byte-identity per round) as `results/BENCH_chaos.json`.
 //!
 //! `--quick` runs 3 rounds (CI smoke); the default is 5. `--check` turns

@@ -6,9 +6,8 @@
 //! cell in supervised worker processes (a crash or hang costs one worker
 //! and one FAILED row, never the run), `--fleet ADDR,ADDR,...` to dispatch
 //! isolated cells to remote `fdip workerd` daemons (a killed or partitioned
-//! node costs a re-dispatch, never the run), `--fleet-heartbeat-ms N` and
-//! `--hedge-after-ms MS|auto|0` to tune fleet liveness detection and
-//! hedged dispatch, `--cache DIR` to share a
+//! node costs a re-dispatch, never the run), `--fleet-heartbeat-ms N` to
+//! tune fleet liveness detection, `--cache DIR` to share a
 //! persistent on-disk result cache across runs and machines, and
 //! `--batch[=on|off]` to control the lockstep multi-config batch pass (on
 //! by default; output is byte-identical either way).
@@ -70,7 +69,6 @@ fn main() {
         "--fleet",
         "--cache",
         "--fleet-heartbeat-ms",
-        "--hedge-after-ms",
     ]
     .iter()
     .fold(args.clone(), |acc, flag| strip_valued_flag(&acc, flag));
@@ -111,23 +109,16 @@ fn main() {
     if let Some(on) = batch {
         harness.set_batching(on);
     }
-    // Fleet tuning flags are validated before anything dials: a zero or
+    // The fleet heartbeat is validated before anything dials: a zero or
     // garbage value is a usage error, never a half-configured fleet.
-    let fleet_heartbeat_ms = flag_value(&args, "--fleet-heartbeat-ms").map(|raw| {
-        match raw.parse::<u64>() {
+    let fleet_heartbeat_ms =
+        flag_value(&args, "--fleet-heartbeat-ms").map(|raw| match raw.parse::<u64>() {
             Ok(ms) if ms > 0 => ms,
             _ => {
                 eprintln!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)");
                 std::process::exit(2);
             }
-        }
-    });
-    let hedge = flag_value(&args, "--hedge-after-ms").map(|raw| {
-        fdip_sim::fleet::HedgePolicy::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("bad --hedge-after-ms: {e}");
-            std::process::exit(2);
-        })
-    });
+        });
     let fleet_addrs = flag_value(&args, "--fleet");
     if let Some(addrs) = &fleet_addrs {
         if isolate.is_none() {
@@ -146,9 +137,6 @@ fn main() {
         let mut fleet_config = fdip_sim::fleet::FleetConfig::new(list);
         if let Some(ms) = fleet_heartbeat_ms {
             fleet_config.heartbeat_timeout = std::time::Duration::from_millis(ms);
-        }
-        if let Some(policy) = hedge {
-            fleet_config.hedge = policy;
         }
         let fleet = harness.enable_fleet(fleet_config).unwrap_or_else(|e| {
             eprintln!("fleet: {e}");
@@ -278,14 +266,12 @@ fn main() {
     if harness.fleet_enabled() {
         eprintln!(
             "fleet: {} worker seat(s), {} node loss(es), {} cell(s) re-dispatched, \
-             {} remote cache hit(s), {} readmission(s), {} hedged ({} won)",
+             {} remote cache hit(s), {} readmission(s)",
             stats.fleet_workers,
             stats.node_losses,
             stats.cells_redispatched,
             stats.remote_cache_hits,
             stats.node_readmissions,
-            stats.cells_hedged,
-            stats.hedge_wins,
         );
     }
     eprintln!("total {:.1}s", start.elapsed().as_secs_f64());

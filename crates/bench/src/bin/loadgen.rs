@@ -401,14 +401,10 @@ fn main() {
         if reconciled { "reconciled" } else { "MISMATCH" }
     );
     // The fleet-recovery families must always render, and without a fleet
-    // configured every one of them must be zero (hedging provably inert).
-    let fleet_counters_inert = [
-        "fdip_serve_node_readmissions_total ",
-        "fdip_serve_cells_hedged_total ",
-        "fdip_serve_hedge_wins_total ",
-    ]
-    .iter()
-    .all(|family| scrape.contains(family) && metric_value(&scrape, family) == 0)
+    // configured they must be zero.
+    let family = "fdip_serve_node_readmissions_total ";
+    let fleet_counters_inert = scrape.contains(family)
+        && metric_value(&scrape, family) == 0
         && scrape.contains("fdip_serve_fleet_node_health");
     eprintln!(
         "[loadgen] fleet recovery counters: {}",

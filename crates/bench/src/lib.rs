@@ -1,9 +1,7 @@
-//! Shared plumbing for the experiment binaries: resolve an experiment in
-//! the registry, run it on the process-wide harness at the scale requested
-//! on the command line, print its tables and charts, and persist CSVs plus
-//! the machine-readable JSON document under `results/`.
-//!
-//! Every binary accepts `--quick` / `--medium` / `--full` (default full).
+//! Shared plumbing for the catalogue binary (`exp_all`): persist an
+//! experiment's CSVs, text and markdown renders, and machine-readable JSON
+//! document under `results/`. Single experiments run through the CLI
+//! (`fdip exp ID`, `fdip tables ID`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,37 +9,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use fdip_sim::experiments::{self, Experiment, ExperimentResult};
-use fdip_sim::harness::Harness;
+use fdip_sim::experiments::{Experiment, ExperimentResult};
 use fdip_sim::persist::write_atomic_str;
-use fdip_sim::Scale;
-
-/// Runs experiment `id` at the argv-selected scale, prints the result, and
-/// persists it. Used by every `exp_*` binary.
-///
-/// # Panics
-///
-/// Panics if `id` is not in the registry.
-pub fn run_and_print(id: &str) {
-    let scale = Scale::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("[{id}] {e}");
-        std::process::exit(2);
-    });
-    let exp = experiments::find(id).unwrap_or_else(|| panic!("unknown experiment {id}"));
-    eprintln!(
-        "[{id}] {} (trace_len={}, suites x{})",
-        exp.title(),
-        scale.trace_len,
-        scale.workloads_per_suite
-    );
-    let start = std::time::Instant::now();
-    let result = exp.run(Harness::global(), scale);
-    print!("{}", result.to_text());
-    eprintln!("[{id}] done in {:.1}s", start.elapsed().as_secs_f64());
-    if let Err(e) = persist(exp, &result) {
-        eprintln!("[{id}] warning: could not write results/: {e}");
-    }
-}
 
 /// Writes each table as `results/<id>_<k>.csv`, the full text render as
 /// `results/<id>.txt`, a markdown render as `results/<id>.md`, and the
@@ -87,6 +56,9 @@ pub fn results_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdip_sim::experiments;
+    use fdip_sim::harness::Harness;
+    use fdip_sim::Scale;
 
     #[test]
     fn persist_writes_csv_text_and_json() {

@@ -75,7 +75,7 @@ commands:
                                                  or any experiment from the registry by id
                                                  (e.g. e01, x4) at quick scale
   exp      [ID|all] [--quick|--medium|--full] [--batch[=on|off]] [--isolate[=N]]
-           [--fleet ADDR,ADDR,...] [--fleet-heartbeat-ms N] [--hedge-after-ms MS|auto|0]
+           [--fleet ADDR,ADDR,...] [--fleet-heartbeat-ms N]
            [--cache DIR] [--faults SPEC] [--journal FILE]
            [--max-attempts N] [--cell-budget-ms N]
                                                  run one experiment (or the whole
@@ -83,13 +83,6 @@ commands:
                                                  harness: --fleet-heartbeat-ms sets
                                                  how long a silent node stays routable
                                                  (also $FDIP_FLEET_HEARTBEAT_MS),
-                                                 --hedge-after-ms speculatively
-                                                 re-dispatches cells still in flight
-                                                 after that delay to a second healthy
-                                                 node, first identical result winning
-                                                 (\"auto\" derives the delay from
-                                                 observed latency; 0, the default,
-                                                 disables hedging entirely),
                                                  --batch=off disables the
                                                  lockstep multi-config batch pass
                                                  (on by default; results identical
@@ -115,7 +108,7 @@ commands:
   serve    [--addr HOST:PORT] [--threads N] [--queue-depth N] [--timeout-ms N]
            [--max-conns N] [--tenant-rps N]
            [--results-dir DIR] [--max-trace-len N] [--max-configs N] [--isolate N]
-           [--fleet ADDR,...] [--fleet-heartbeat-ms N] [--hedge-after-ms MS|auto|0]
+           [--fleet ADDR,...] [--fleet-heartbeat-ms N]
                                                  run the HTTP simulation service
                                                  (healthz, metrics, v1/run, v1/compare,
                                                  v1/experiments/{id}); --max-conns caps
@@ -546,28 +539,21 @@ fn cmd_tables(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Parses the fleet tuning flags shared by `exp` and `serve`:
-/// `--fleet-heartbeat-ms` (positive milliseconds; overrides the
-/// `$FDIP_FLEET_HEARTBEAT_MS` fallback) and `--hedge-after-ms`
-/// (milliseconds, `auto`, or `0` to disable). Both are validated here,
-/// before any connection is dialed.
-fn fleet_tuning(
-    args: &Args,
-) -> Result<(Option<u64>, Option<fdip_sim::fleet::HedgePolicy>), Box<dyn Error>> {
-    let heartbeat = match args.get("fleet-heartbeat-ms") {
-        None => None,
-        Some(raw) => Some(raw.parse::<u64>().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-            format!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)")
-        })?),
-    };
-    let hedge = match args.get("hedge-after-ms") {
-        None => None,
-        Some(raw) => Some(
-            fdip_sim::fleet::HedgePolicy::parse(raw)
-                .map_err(|e| format!("bad --hedge-after-ms: {e}"))?,
-        ),
-    };
-    Ok((heartbeat, hedge))
+/// Parses `--fleet-heartbeat-ms`, shared by `exp` and `serve` (positive
+/// milliseconds; overrides the `$FDIP_FLEET_HEARTBEAT_MS` fallback). It
+/// is validated here, before any connection is dialed.
+fn fleet_heartbeat(args: &Args) -> Result<Option<u64>, Box<dyn Error>> {
+    match args.get("fleet-heartbeat-ms") {
+        None => Ok(None),
+        Some(raw) => Ok(Some(
+            raw.parse::<u64>()
+                .ok()
+                .filter(|&ms| ms > 0)
+                .ok_or_else(|| {
+                    format!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)")
+                })?,
+        )),
+    }
 }
 
 fn cmd_chaos(args: &Args) -> CliResult {
@@ -681,7 +667,7 @@ fn cmd_exp(raw: &[String]) -> CliResult {
     let fleet_addrs = args.get("fleet").map(str::to_string);
     // Validated up front, before anything dials: a zero or garbage value
     // is a flag error, never a half-configured fleet.
-    let (fleet_heartbeat_ms, hedge) = fleet_tuning(&args)?;
+    let fleet_heartbeat_ms = fleet_heartbeat(&args)?;
     let cache_dir = args.get("cache").map(std::path::PathBuf::from);
     let defaults = RetryPolicy::default();
     let max_attempts = args.get_or("max-attempts", defaults.max_attempts, "a retry count")?;
@@ -733,9 +719,6 @@ fn cmd_exp(raw: &[String]) -> CliResult {
         let mut fleet_config = fdip_sim::fleet::FleetConfig::new(list);
         if let Some(ms) = fleet_heartbeat_ms {
             fleet_config.heartbeat_timeout = Duration::from_millis(ms);
-        }
-        if let Some(policy) = hedge {
-            fleet_config.hedge = policy;
         }
         let fleet = harness
             .enable_fleet(fleet_config)
@@ -842,14 +825,12 @@ fn cmd_exp(raw: &[String]) -> CliResult {
     if harness.fleet_enabled() {
         eprintln!(
             "fleet: {} worker seat(s), {} node loss(es), {} cell(s) re-dispatched, \
-             {} remote cache hit(s), {} readmission(s), {} hedged ({} won)",
+             {} remote cache hit(s), {} readmission(s)",
             stats.fleet_workers,
             stats.node_losses,
             stats.cells_redispatched,
             stats.remote_cache_hits,
             stats.node_readmissions,
-            stats.cells_hedged,
-            stats.hedge_wins,
         );
     }
     eprintln!("total {:.1}s", start.elapsed().as_secs_f64());
@@ -865,7 +846,7 @@ fn cmd_exp(raw: &[String]) -> CliResult {
 fn cmd_serve(args: &Args) -> CliResult {
     use fdip_serve::{ServeConfig, Server};
     let defaults = ServeConfig::default();
-    let (fleet_heartbeat_ms, fleet_hedge) = fleet_tuning(args)?;
+    let fleet_heartbeat_ms = fleet_heartbeat(args)?;
     let config = ServeConfig {
         addr: args.get("addr").unwrap_or(&defaults.addr).to_string(),
         threads: args.get_or("threads", defaults.threads, "a worker count (0 = auto)")?,
@@ -894,7 +875,6 @@ fn cmd_serve(args: &Args) -> CliResult {
         )?,
         fleet: args.get("fleet").map(str::to_string),
         fleet_heartbeat_ms,
-        fleet_hedge,
         cache_dir: None,
     };
     // The serve-side cell cache is on by default (warm restarts); opt out

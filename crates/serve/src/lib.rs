@@ -129,11 +129,6 @@ pub struct ServeConfig {
     /// re-dispatch. `None` defers to `$FDIP_FLEET_HEARTBEAT_MS` or the
     /// built-in default. Ignored without `fleet`.
     pub fleet_heartbeat_ms: Option<u64>,
-    /// Hedged-dispatch policy override (`--hedge-after-ms`): cells still
-    /// in flight after the delay are speculatively re-dispatched to a
-    /// second healthy node, first identical result winning. `None` defers
-    /// to `$FDIP_FLEET_HEDGE_AFTER_MS` or off. Ignored without `fleet`.
-    pub fleet_hedge: Option<fdip_sim::fleet::HedgePolicy>,
     /// Directory for the shared on-disk result cache (`--cache`); `None`
     /// disables persistence. With a cache attached, a restarted server is
     /// warm from its first request: finished cells are read back (CRC32-
@@ -156,7 +151,6 @@ impl Default for ServeConfig {
             isolate_workers: 0,
             fleet: None,
             fleet_heartbeat_ms: None,
-            fleet_hedge: None,
             cache_dir: None,
         }
     }

@@ -329,16 +329,6 @@ impl Metrics {
                 "Lost fleet nodes readmitted (on probation) after a reprobe.",
                 harness.node_readmissions,
             ),
-            (
-                "fdip_serve_cells_hedged_total",
-                "Cells whose slow primary triggered a speculative second copy.",
-                harness.cells_hedged,
-            ),
-            (
-                "fdip_serve_hedge_wins_total",
-                "Hedged cells where the speculative copy finished first.",
-                harness.hedge_wins,
-            ),
         ] {
             counter(&mut out, name, help, value);
         }
@@ -412,8 +402,6 @@ mod tests {
             cells_redispatched: 14,
             remote_cache_hits: 15,
             node_readmissions: 16,
-            cells_hedged: 17,
-            hedge_wins: 18,
             ..HarnessStats::default()
         };
         let nodes = vec![
@@ -452,21 +440,17 @@ mod tests {
         assert!(text.contains("fdip_serve_cells_redispatched_total 14"));
         assert!(text.contains("fdip_serve_remote_cache_hits_total 15"));
         assert!(text.contains("fdip_serve_node_readmissions_total 16"));
-        assert!(text.contains("fdip_serve_cells_hedged_total 17"));
-        assert!(text.contains("fdip_serve_hedge_wins_total 18"));
         // One-hot health: each node's current state is 1, the rest 0.
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"healthy\"} 1"
-        ));
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"lost\"} 0"
-        ));
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"lost\"} 1"
-        ));
-        assert!(text.contains(
-            "fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"healthy\"} 0"
-        ));
+        assert!(text
+            .contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"healthy\"} 1"));
+        assert!(
+            text.contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9001\",state=\"lost\"} 0")
+        );
+        assert!(
+            text.contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"lost\"} 1")
+        );
+        assert!(text
+            .contains("fdip_serve_fleet_node_health{node=\"127.0.0.1:9002\",state=\"healthy\"} 0"));
         assert!(text.contains("fdip_serve_requests_total{status=\"502\"} 0"));
         // Histogram buckets are cumulative: the 3ms observation lands in
         // le=0.005 and every later bucket includes it.

@@ -134,9 +134,6 @@ impl Server {
             if let Some(ms) = config.fleet_heartbeat_ms {
                 fleet_config.heartbeat_timeout = std::time::Duration::from_millis(ms);
             }
-            if let Some(policy) = config.fleet_hedge {
-                fleet_config.hedge = policy;
-            }
             let fleet = fdip_sim::harness::Harness::global().enable_fleet(fleet_config)?;
             eprintln!(
                 "fleet: {} node(s), {} worker seat(s)",
@@ -878,6 +875,16 @@ impl EventLoop<'_> {
     }
 }
 
+/// The response for a request whose deadline passed before compute.
+fn expiry_response(client_set: bool) -> Response {
+    let status = if client_set { 408 } else { 429 };
+    Response::error(
+        status,
+        "deadline expired before the request could be handled",
+    )
+    .with_header("retry-after", "1")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,7 +894,7 @@ mod tests {
         assert!(fd_exhausted(&io::Error::from_raw_os_error(23))); // ENFILE
         assert!(fd_exhausted(&io::Error::from_raw_os_error(24))); // EMFILE
         assert!(!fd_exhausted(&io::Error::from_raw_os_error(9))); // EBADF
-        assert!(!fd_exhausted(&io::Error::new(io::ErrorKind::Other, "x")));
+        assert!(!fd_exhausted(&io::Error::other("x")));
     }
 
     #[cfg(unix)]
@@ -908,14 +915,4 @@ mod tests {
         let clamped = server.service.config().max_conns as u64;
         assert!(clamped < limit, "{clamped} vs limit {limit}");
     }
-}
-
-/// The response for a request whose deadline passed before compute.
-fn expiry_response(client_set: bool) -> Response {
-    let status = if client_set { 408 } else { 429 };
-    Response::error(
-        status,
-        "deadline expired before the request could be handled",
-    )
-    .with_header("retry-after", "1")
 }

@@ -601,6 +601,32 @@ mod tests {
         }
     }
 
+    /// Installs a fault plan on the global harness for the guard's
+    /// lifetime, serializing the tests that do so: each one clears the
+    /// plan when done, which would otherwise disarm a sibling's plan
+    /// mid-request.
+    struct FaultGuard {
+        _guard: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl FaultGuard {
+        fn install(plan: &str) -> FaultGuard {
+            static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            let guard = FAULT_LOCK
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            Harness::global()
+                .set_fault_plan(Some(fdip_sim::fault::FaultPlan::parse(plan).expect("plan")));
+            FaultGuard { _guard: guard }
+        }
+    }
+
+    impl Drop for FaultGuard {
+        fn drop(&mut self) {
+            Harness::global().set_fault_plan(None);
+        }
+    }
+
     fn body_str(resp: &Response) -> String {
         let mut buf = Vec::new();
         resp.write_to(&mut buf, false).unwrap();
@@ -813,14 +839,10 @@ mod tests {
 
     #[test]
     fn failed_cells_become_structured_502s() {
-        use fdip_sim::fault::FaultPlan;
         let s = service();
-        let harness = Harness::global();
         // Coordinates pin the plan to seeds no other test uses, so the
         // plan cannot fire for tests sharing the global harness.
-        harness.set_fault_plan(Some(
-            FaultPlan::parse("panic@microloop~s404/run,panic@microloop~s405/baseline").unwrap(),
-        ));
+        let faults = FaultGuard::install("panic@microloop~s404/run,panic@microloop~s405/baseline");
         let run = s.route(
             &post(
                 "/v1/run",
@@ -837,7 +859,7 @@ mod tests {
             ),
             0,
         );
-        harness.set_fault_plan(None);
+        drop(faults);
 
         assert_eq!(run.status, 502, "{}", body_str(&run));
         let doc = Json::parse(&body_str(&run)).unwrap();
@@ -856,10 +878,8 @@ mod tests {
 
     #[test]
     fn compare_marks_failed_candidates_without_failing_the_request() {
-        use fdip_sim::fault::FaultPlan;
         let s = service();
-        let harness = Harness::global();
-        harness.set_fault_plan(Some(FaultPlan::parse("panic@microloop~s406/bad").unwrap()));
+        let faults = FaultGuard::install("panic@microloop~s406/bad");
         let resp = s.route(
             &post(
                 "/v1/compare",
@@ -870,7 +890,7 @@ mod tests {
             ),
             0,
         );
-        harness.set_fault_plan(None);
+        drop(faults);
         assert_eq!(resp.status, 200, "{}", body_str(&resp));
         let doc = Json::parse(&body_str(&resp)).unwrap();
         let rows = doc.get("results").and_then(Json::as_array).unwrap();

@@ -344,7 +344,10 @@ fn coalesced_follower_expires_on_its_own_deadline() {
     assert!(body.contains("deadline expired"), "{body}");
     // Answered on its own clock (300ms + sweep granularity), well before
     // the shared simulation finishes at ~1.2s from now.
-    assert!(waited < Duration::from_millis(1100), "follower waited {waited:?}");
+    assert!(
+        waited < Duration::from_millis(1100),
+        "follower waited {waited:?}"
+    );
 
     let (status, leader_body) = leader.join().expect("leader thread");
     assert_eq!(status, 200, "{leader_body}");
@@ -370,7 +373,10 @@ fn set_linger_zero(stream: &TcpStream) {
     }
     const SOL_SOCKET: i32 = 1;
     const SO_LINGER: i32 = 13;
-    let lin = Linger { onoff: 1, linger: 0 };
+    let lin = Linger {
+        onoff: 1,
+        linger: 0,
+    };
     let rc = unsafe {
         setsockopt(
             stream.as_raw_fd(),

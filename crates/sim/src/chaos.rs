@@ -11,7 +11,7 @@
 //! * **Byte identity** — every round's rendered output must equal the
 //!   fault-free baseline, byte for byte. The simulator is deterministic
 //!   and cells are content-addressed, so no amount of node loss,
-//!   re-dispatch, hedging, or cache corruption may change a digit.
+//!   re-dispatch, or cache corruption may change a digit.
 //! * **Bounded re-simulation** — once round 0 has populated the cache,
 //!   later rounds may simulate at most the entries the schedule
 //!   corrupted; everything else must be served from the cache.
@@ -33,12 +33,12 @@ use std::time::{Duration, Instant};
 use fdip_types::Json;
 
 use crate::fault::{splitmix64, FaultPlan, RetryPolicy};
-use crate::fleet::{FleetConfig, HedgePolicy};
+use crate::fleet::FleetConfig;
 use crate::harness::{Harness, HarnessStats};
 use crate::{experiments, Scale};
 
 /// Version of the persisted `results/BENCH_chaos.json` layout.
-pub const CHAOS_SCHEMA_VERSION: u64 = 1;
+pub const CHAOS_SCHEMA_VERSION: u64 = 2;
 
 /// How a soak is shaped. All randomness is derived from `seed` via
 /// splitmix64, so two soaks with the same config are the same soak.
@@ -94,12 +94,19 @@ impl ChaosRound {
             ("wall_ms", Json::uint(self.wall_ms)),
             ("cells_simulated", Json::uint(self.stats.cells_simulated)),
             ("cells_failed", Json::uint(self.stats.cells_failed)),
-            ("remote_cache_hits", Json::uint(self.stats.remote_cache_hits)),
+            (
+                "remote_cache_hits",
+                Json::uint(self.stats.remote_cache_hits),
+            ),
             ("node_losses", Json::uint(self.stats.node_losses)),
-            ("node_readmissions", Json::uint(self.stats.node_readmissions)),
-            ("cells_redispatched", Json::uint(self.stats.cells_redispatched)),
-            ("cells_hedged", Json::uint(self.stats.cells_hedged)),
-            ("hedge_wins", Json::uint(self.stats.hedge_wins)),
+            (
+                "node_readmissions",
+                Json::uint(self.stats.node_readmissions),
+            ),
+            (
+                "cells_redispatched",
+                Json::uint(self.stats.cells_redispatched),
+            ),
             ("downtime_ms", Json::uint(self.downtime_ms)),
         ])
     }
@@ -142,7 +149,10 @@ impl ChaosReport {
             ("schema_version", Json::uint(CHAOS_SCHEMA_VERSION)),
             ("bench", Json::str("chaos")),
             ("seed", Json::uint(self.seed)),
-            ("rounds", Json::arr(self.rounds.iter().map(ChaosRound::to_json))),
+            (
+                "rounds",
+                Json::arr(self.rounds.iter().map(ChaosRound::to_json)),
+            ),
             (
                 "aggregate",
                 Json::obj([
@@ -151,7 +161,10 @@ impl ChaosReport {
                         "byte_identical_rounds",
                         Json::uint(self.rounds.iter().filter(|r| r.byte_identical).count() as u64),
                     ),
-                    ("node_losses", Json::uint(self.total(|r| r.stats.node_losses))),
+                    (
+                        "node_losses",
+                        Json::uint(self.total(|r| r.stats.node_losses)),
+                    ),
                     (
                         "node_readmissions",
                         Json::uint(self.total(|r| r.stats.node_readmissions)),
@@ -160,8 +173,6 @@ impl ChaosReport {
                         "cells_redispatched",
                         Json::uint(self.total(|r| r.stats.cells_redispatched)),
                     ),
-                    ("cells_hedged", Json::uint(self.total(|r| r.stats.cells_hedged))),
-                    ("hedge_wins", Json::uint(self.total(|r| r.stats.hedge_wins))),
                     ("mttr_ms", Json::num(self.mttr_ms())),
                 ]),
             ),
@@ -181,12 +192,10 @@ impl ChaosReport {
             self.seed,
             self.rounds.len()
         ));
-        out.push_str(
-            "round  identical  sim  hit  loss  readmit  redisp  hedged  won  wall_ms  faults\n",
-        );
+        out.push_str("round  identical  sim  hit  loss  readmit  redisp  wall_ms  faults\n");
         for r in &self.rounds {
             out.push_str(&format!(
-                "{:>5}  {:>9}  {:>3}  {:>3}  {:>4}  {:>7}  {:>6}  {:>6}  {:>3}  {:>7}  {}\n",
+                "{:>5}  {:>9}  {:>3}  {:>3}  {:>4}  {:>7}  {:>6}  {:>7}  {}\n",
                 r.round,
                 if r.byte_identical { "yes" } else { "NO" },
                 r.stats.cells_simulated,
@@ -194,19 +203,15 @@ impl ChaosReport {
                 r.stats.node_losses,
                 r.stats.node_readmissions,
                 r.stats.cells_redispatched,
-                r.stats.cells_hedged,
-                r.stats.hedge_wins,
                 r.wall_ms,
                 r.fault_plan,
             ));
         }
         out.push_str(&format!(
-            "aggregate: {} loss(es), {} readmission(s), mean MTTR {:.0}ms, {} hedge(s) ({} won)\n",
+            "aggregate: {} loss(es), {} readmission(s), mean MTTR {:.0}ms\n",
             self.total(|r| r.stats.node_losses),
             self.total(|r| r.stats.node_readmissions),
             self.mttr_ms(),
-            self.total(|r| r.stats.cells_hedged),
-            self.total(|r| r.stats.hedge_wins),
         ));
         if self.passed() {
             out.push_str("chaos soak PASSED: every gate held\n");
@@ -355,11 +360,8 @@ pub fn run_chaos(config: &ChaosConfig) -> io::Result<ChaosReport> {
     let baseline = baseline_text(&config.experiments)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
 
-    let cache_dir = std::env::temp_dir().join(format!(
-        "fdip-chaos-{}-{}",
-        std::process::id(),
-        config.seed
-    ));
+    let cache_dir =
+        std::env::temp_dir().join(format!("fdip-chaos-{}-{}", std::process::id(), config.seed));
     let _ = std::fs::remove_dir_all(&cache_dir);
     std::fs::create_dir_all(&cache_dir)?;
 
@@ -394,7 +396,12 @@ pub fn run_chaos(config: &ChaosConfig) -> io::Result<ChaosReport> {
         let fault_plan = if round == 0 {
             "slow@*/*:1200".to_string()
         } else {
-            let kinds = ["partition@*/*", "slowlink@*/*:80", "truncframe@*/*", "drop@*/*"];
+            let kinds = [
+                "partition@*/*",
+                "slowlink@*/*:80",
+                "truncframe@*/*",
+                "drop@*/*",
+            ];
             let pick = kinds[(splitmix64(round_seed ^ 0xFA) as usize) % kinds.len()];
             format!("slow@*/*:800,{pick}")
         };
@@ -414,9 +421,8 @@ pub fn run_chaos(config: &ChaosConfig) -> io::Result<ChaosReport> {
             connect_timeout: Duration::from_secs(3),
             heartbeat_timeout: Duration::from_millis(700),
             reprobe_base: Duration::from_millis(150),
-            hedge: HedgePolicy::After(Duration::from_millis(400)),
         };
-        harness.enable_fleet(fleet_config)?;
+        let fleet = harness.enable_fleet(fleet_config)?;
         let scan = harness.attach_cache(&cache_dir)?;
 
         // The kill/restart schedule, deterministic per round: SIGKILL a
@@ -468,7 +474,7 @@ pub fn run_chaos(config: &ChaosConfig) -> io::Result<ChaosReport> {
         }
 
         let stats = harness.stats();
-        let downtime_ms = harness.fleet_stats().readmission_downtime_ms;
+        let downtime_ms = fleet.stats().readmission_downtime_ms;
         let byte_identical = text == baseline;
         if !byte_identical {
             failures.push(format!(

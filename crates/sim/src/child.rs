@@ -1,0 +1,212 @@
+//! Disposable child worker processes: the self-exec spawn, the frame
+//! reader, and every way a child ends.
+//!
+//! Two places run cells in a child process — the local
+//! [`Supervisor`](crate::supervisor::Supervisor) behind `--isolate`, and
+//! the `fdip workerd` daemon ([`crate::fleet::serve_workerd`]) proxying
+//! a fleet connection. Both spawn, read, retire, and classify their
+//! children through this module, so a crash means the same thing (and
+//! reports the same exit evidence) whichever side of a socket it
+//! happened on.
+//!
+//! A child is the current binary re-executed with
+//! [`WORKER_ENV`](crate::worker::WORKER_ENV) set, speaking the
+//! [`crate::ipc`] frame protocol on stdin/stdout.
+
+use std::io;
+use std::process::{ChildStdin, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::time::Duration;
+
+use fdip_types::Json;
+
+use crate::fault::CellError;
+use crate::ipc::{read_frame, write_frame};
+
+/// What the stdout reader thread forwards to the owner.
+pub(crate) enum ChildEvent {
+    /// One frame from the child, undecoded.
+    Frame(Json),
+    /// Clean EOF: the child exited (or was killed).
+    Eof,
+    /// The pipe broke mid-frame — treated like a crash; classification
+    /// uses the exit status, not the read error.
+    Failed,
+}
+
+/// A live child worker: its process, request pipe, and frame stream.
+pub(crate) struct Child {
+    process: std::process::Child,
+    stdin: ChildStdin,
+    events: Receiver<ChildEvent>,
+}
+
+impl Child {
+    /// Self-execs the current binary as a worker. The `worker` argument
+    /// is cosmetic (it names the process in `ps`); activation is the
+    /// environment variable, which works for every harness binary
+    /// without touching its argv parsing. The daemon's listen variable is
+    /// always cleared, or a child of an env-launched daemon would become
+    /// a daemon too.
+    pub(crate) fn spawn() -> io::Result<Child> {
+        let exe = std::env::current_exe()?;
+        let mut process = Command::new(exe)
+            .arg("worker")
+            .env(crate::worker::WORKER_ENV, "1")
+            .env_remove(crate::worker::WORKERD_LISTEN_ENV)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()?;
+        let stdin = process.stdin.take().expect("stdin was piped");
+        let mut stdout = process.stdout.take().expect("stdout was piped");
+        let (sender, events) = mpsc::channel();
+        // Plain pipes have no read timeout, so a dedicated thread blocks on
+        // the pipe and the owner waits on the channel, which does. The
+        // thread exits with the pipe and is never joined.
+        std::thread::spawn(move || loop {
+            let event = match read_frame(&mut stdout) {
+                Ok(Some(frame)) => ChildEvent::Frame(frame),
+                Ok(None) => ChildEvent::Eof,
+                Err(_) => ChildEvent::Failed,
+            };
+            let terminal = !matches!(event, ChildEvent::Frame(_));
+            if sender.send(event).is_err() || terminal {
+                return;
+            }
+        });
+        Ok(Child {
+            process,
+            stdin,
+            events,
+        })
+    }
+
+    /// Writes one frame to the child's stdin.
+    ///
+    /// # Errors
+    ///
+    /// The pipe is broken: the child died.
+    pub(crate) fn send(&mut self, doc: &Json) -> io::Result<()> {
+        write_frame(&mut self.stdin, doc)
+    }
+
+    /// Waits up to `timeout` for the next event.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<ChildEvent, RecvTimeoutError> {
+        self.events.recv_timeout(timeout)
+    }
+
+    /// Discards frames buffered while the child sat idle (a final
+    /// heartbeat that raced the previous reply); returns whether the
+    /// child died in the meantime, so the owner respawns instead of
+    /// writing into a broken pipe.
+    pub(crate) fn drain_idle(&self) -> bool {
+        let mut dead = false;
+        while let Ok(event) = self.events.try_recv() {
+            if !matches!(event, ChildEvent::Frame(_)) {
+                dead = true;
+            }
+        }
+        dead
+    }
+
+    /// Reaps a child that is already gone (or nearly): SIGKILL is a no-op
+    /// on a zombie and does not change its recorded exit status, so this
+    /// is safe on every death path.
+    pub(crate) fn reap(self) -> io::Result<ExitStatus> {
+        let mut process = self.process;
+        let _ = process.kill();
+        process.wait()
+    }
+
+    /// SIGKILL and reap, without looking at how it ended.
+    pub(crate) fn kill(self) {
+        let _ = self.reap();
+    }
+
+    /// Graceful retirement: close stdin (EOF ends the worker loop), give
+    /// it a moment, escalate to SIGKILL if it will not leave. Returns
+    /// whether the escalation was needed.
+    pub(crate) fn retire(self) -> bool {
+        let Child {
+            mut process, stdin, ..
+        } = self;
+        drop(stdin);
+        for _ in 0..50 {
+            match process.try_wait() {
+                Ok(Some(_)) => return false,
+                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => break,
+            }
+        }
+        let _ = process.kill();
+        let _ = process.wait();
+        true
+    }
+}
+
+/// How a child ended: the fatal signal (unix) and the exit code, each
+/// when known; both `None` when the status itself was lost.
+pub(crate) fn exit_evidence(status: &io::Result<ExitStatus>) -> (Option<i32>, Option<i32>) {
+    match status {
+        Ok(status) => (exit_signal(status), status.code()),
+        Err(_) => (None, None),
+    }
+}
+
+/// Classifies a dead child's exit status into [`CellError::Crashed`].
+pub(crate) fn crashed(status: &io::Result<ExitStatus>, attempts: u32) -> CellError {
+    let (signal, code) = exit_evidence(status);
+    CellError::Crashed {
+        signal,
+        code,
+        attempts,
+    }
+}
+
+#[cfg(unix)]
+fn exit_signal(status: &ExitStatus) -> Option<i32> {
+    std::os::unix::process::ExitStatusExt::signal(status)
+}
+
+#[cfg(not(unix))]
+fn exit_signal(_status: &ExitStatus) -> Option<i32> {
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // Spawning real workers needs a worker-capable executable;
+    // `current_exe()` inside `cargo test` is the libtest runner, which
+    // must never be self-exec'd. End-to-end supervision is covered by the
+    // `tests/isolation.rs` and `tests/fleet.rs` integration tests against
+    // the real `fdip` binary; this test pins the pure classification.
+
+    #[test]
+    fn crash_classification_covers_signal_code_and_unknown() {
+        let err = crashed(&Err(io::Error::other("status lost")), 2);
+        assert_eq!(
+            err,
+            CellError::Crashed {
+                signal: None,
+                code: None,
+                attempts: 2
+            }
+        );
+        // A real exit status from a real (instantly exiting) process.
+        let status = Command::new("false").status();
+        if status.is_ok() {
+            let err = crashed(&status, 1);
+            assert_eq!(
+                err,
+                CellError::Crashed {
+                    signal: None,
+                    code: Some(1),
+                    attempts: 1
+                }
+            );
+        }
+    }
+}

@@ -18,6 +18,10 @@ use std::time::Duration;
 
 use fdip_types::{Json, ToJson};
 
+use crate::exec::Injected;
+use crate::ipc::WorkerFault;
+use crate::net::NetFault;
+
 /// Why one cell of a matrix failed to produce statistics.
 ///
 /// Carried in [`RunResult`](crate::runner::RunResult) and surfaced as
@@ -268,30 +272,49 @@ pub enum FaultAction {
     NetTruncFrame,
 }
 
-impl FaultAction {
-    /// Whether this action can only be contained by process isolation.
-    /// The in-process harness refuses plans carrying these (they would
-    /// take the whole run down), and the CLI rejects them without
-    /// `--isolate`.
-    pub fn requires_isolation(&self) -> bool {
-        matches!(
-            self,
-            FaultAction::Abort | FaultAction::Hang | FaultAction::BigAlloc
-        )
-    }
-
-    /// Whether this action injects at the fleet transport and therefore
-    /// needs `--fleet` to mean anything: without remote dispatch there is
-    /// no connection to drop, partition, slow, or corrupt.
-    pub fn requires_fleet(&self) -> bool {
-        matches!(
-            self,
-            FaultAction::NetDrop
-                | FaultAction::NetPartition
-                | FaultAction::NetSlowlink(_)
-                | FaultAction::NetTruncFrame
-        )
-    }
+/// Classifies a fired fault, once per attempt, into the three kinds the
+/// harness realises differently:
+///
+/// * **logical** (`transient`, `trace`) — returned as the `Err` that
+///   fails the attempt before anything is dispatched;
+/// * **worker** (`panic`, `slow`, `abort`, `hang`, `bigalloc`) — realised
+///   inside whatever process simulates the cell;
+/// * **network** (`drop`, `partition`, `slowlink`, `truncframe`) —
+///   realised at the fleet transport.
+///
+/// # Errors
+///
+/// The logical fault's [`CellError::Transient`], naming the cell site.
+pub(crate) fn classify(
+    action: FaultAction,
+    workload: &str,
+    label: &str,
+    attempt: u32,
+) -> Result<Injected, CellError> {
+    let millis = |d: Duration| u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
+    Ok(match action {
+        FaultAction::Transient => {
+            return Err(CellError::Transient {
+                message: format!("injected fault: transient failure at ({workload}, {label})"),
+                attempts: attempt,
+            })
+        }
+        FaultAction::TraceDecode => {
+            return Err(CellError::Transient {
+                message: format!("injected fault: trace decode failed for {workload}"),
+                attempts: attempt,
+            })
+        }
+        FaultAction::Panic => Injected::Worker(WorkerFault::Panic),
+        FaultAction::Slow(delay) => Injected::Worker(WorkerFault::Slow(millis(delay))),
+        FaultAction::Abort => Injected::Worker(WorkerFault::Abort),
+        FaultAction::Hang => Injected::Worker(WorkerFault::Hang),
+        FaultAction::BigAlloc => Injected::Worker(WorkerFault::BigAlloc),
+        FaultAction::NetDrop => Injected::Net(NetFault::Drop),
+        FaultAction::NetPartition => Injected::Net(NetFault::Partition),
+        FaultAction::NetSlowlink(delay) => Injected::Net(NetFault::Slowlink(delay)),
+        FaultAction::NetTruncFrame => Injected::Net(NetFault::TruncFrame),
+    })
 }
 
 /// What kind of fault a site injects, and how many times.
@@ -580,6 +603,15 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Reach;
+
+    /// The reach an executor needs to realise `action`; `None` for the
+    /// logical kinds, which never leave the harness.
+    fn needs(action: FaultAction) -> Option<Reach> {
+        classify(action, "w", "c", 1)
+            .ok()
+            .map(|fault| fault.needs())
+    }
 
     #[test]
     fn parse_full_grammar() {
@@ -686,9 +718,9 @@ mod tests {
         assert_eq!(plan.fire("w", "z"), Some(FaultAction::BigAlloc));
         assert_eq!(plan.fire("w", "z"), None);
         for action in [FaultAction::Abort, FaultAction::Hang, FaultAction::BigAlloc] {
-            assert!(action.requires_isolation(), "{action:?}");
+            assert_eq!(needs(action), Some(Reach::Process));
         }
-        assert!(!FaultAction::Panic.requires_isolation());
+        assert_eq!(needs(FaultAction::Panic), Some(Reach::InProcess));
 
         let tame = FaultPlan::parse("panic@w/c,slow@w/c:5").unwrap();
         assert!(!tame.requires_isolation());
@@ -729,10 +761,8 @@ mod tests {
             FaultAction::NetSlowlink(Duration::from_millis(1)),
             FaultAction::NetTruncFrame,
         ] {
-            assert!(action.requires_fleet(), "{action:?}");
-            assert!(!action.requires_isolation(), "{action:?}");
+            assert_eq!(needs(action), Some(Reach::Fleet));
         }
-        assert!(!FaultAction::Abort.requires_fleet());
         assert!(!FaultPlan::parse("abort@w/c").unwrap().requires_fleet());
 
         assert!(FaultPlan::parse("slowlink@w/c").is_err());

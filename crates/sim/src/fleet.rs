@@ -1,5 +1,5 @@
-//! The distributed tier: the fleet dispatcher behind `--fleet`, the
-//! `fdip workerd` daemon loop, and the shared on-disk result cache.
+//! The distributed tier: the fleet dispatcher behind `--fleet` and the
+//! `fdip workerd` daemon loop.
 //!
 //! PR 5's supervisor contains cell failures inside one machine; this
 //! module stretches the same protocol across machines without weakening
@@ -17,17 +17,16 @@
 //!   is handshake-checked ([`Hello`]/[`Welcome`]) and then proxied to a
 //!   supervised self-exec'd child worker (the PR 5 worker, verbatim), so
 //!   a cell that aborts or hangs remotely kills a disposable child, not
-//!   the daemon. A child's death is reported back as a typed `crashed`
-//!   reply carrying the exit signal/code. On shutdown the daemon drains:
-//!   in-flight cells finish, new ones are refused with a `bye`, and the
-//!   process exits 0.
-//! * **[`ResultCache`]** — the cluster-wide memo. One CRC32-framed
-//!   [`JournalEntry`] per file, content-addressed by
-//!   `(workload, trace_len, config-fingerprint)`, written atomically
-//!   ([`crate::persist::write_atomic`]). Consulted before any dispatch,
-//!   local or remote, so an identical cell simulates exactly once
-//!   *cluster-wide*; corrupt entries are skipped and counted, never
-//!   trusted.
+//!   the daemon. Children are spawned, read, and reaped through
+//!   `crate::child`, the module the local supervisor uses too. A
+//!   child's death is reported back as a typed `crashed` reply carrying
+//!   the exit signal/code. On shutdown the daemon drains: in-flight
+//!   cells finish, new ones are refused with a `bye`, and the process
+//!   exits 0.
+//!
+//! The shared on-disk result cache that makes identical cells simulate
+//! once cluster-wide lives in [`crate::cache`]; the harness consults it
+//! before dispatching anywhere.
 //!
 //! Fault drills for every path above are injectable deterministically
 //! via the `drop`/`partition`/`slowlink`/`truncframe` kinds in
@@ -35,22 +34,20 @@
 
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use fdip::{FrontendConfig, SimStats};
-use fdip_types::{Json, ToJson};
+use fdip::SimStats;
+use fdip_types::Json;
 
+use crate::child::{self, Child, ChildEvent};
+use crate::exec::{CellRun, Executor, Injected, Reach};
 use crate::fault::CellError;
-use crate::harness::lock;
-use crate::ipc::{read_frame, write_frame, RunRequest, WorkerFault, WorkerReply};
-use crate::journal::{crc32, split_crc_frame, JournalEntry};
+use crate::harness::{lock, HarnessStats};
+use crate::ipc::{RunRequest, WorkerFault, WorkerReply};
 use crate::net::{self, bye_frame, is_bye, Hello, NetFault, Welcome, PROTOCOL_VERSION};
-use crate::workload::WorkloadSpec;
 
 /// Read-poll quantum for fleet streams: how often a blocked read wakes to
 /// check budget/heartbeat/drain deadlines.
@@ -66,51 +63,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// (same leak bound as the local supervisor's `recycle_after`).
 const RECYCLE_AFTER: u64 = 64;
 
-/// When (if ever) the fleet speculatively re-dispatches a slow in-flight
-/// cell to a second node. Safe at any setting: results are
-/// content-addressed and the simulator is deterministic, so both copies
-/// produce byte-identical statistics and the first one back wins; the
-/// loser is cancelled by severing its connection (the remote-kill path).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum HedgePolicy {
-    /// Never hedge. Dispatch takes the exact synchronous path it always
-    /// has — provably inert.
-    Off,
-    /// Hedge a cell whose primary copy has been in flight this long.
-    After(Duration),
-    /// Hedge after 3× the observed mean completion time (floor 200ms),
-    /// armed once three completions have been observed.
-    Auto,
-}
-
-impl HedgePolicy {
-    /// Parses a `--hedge-after-ms` value: `0` disables, a positive
-    /// millisecond count sets a fixed threshold, `auto` adapts.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for anything else.
-    pub fn parse(raw: &str) -> Result<HedgePolicy, String> {
-        let raw = raw.trim();
-        if raw.eq_ignore_ascii_case("auto") {
-            return Ok(HedgePolicy::Auto);
-        }
-        match raw.parse::<u64>() {
-            Ok(0) => Ok(HedgePolicy::Off),
-            Ok(ms) => Ok(HedgePolicy::After(Duration::from_millis(ms))),
-            Err(_) => Err(format!(
-                "invalid hedge delay {raw:?}: expected 0, a millisecond count, or \"auto\""
-            )),
-        }
-    }
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy::Off
-    }
-}
-
 /// Connection and liveness policy for a [`Fleet`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FleetConfig {
@@ -125,15 +77,12 @@ pub struct FleetConfig {
     /// lost node is re-dialed after `base`, then `base·2`, `base·4`, …
     /// capped at `base·32`, until a full handshake readmits it.
     pub reprobe_base: Duration,
-    /// Speculative re-dispatch policy for slow in-flight cells.
-    pub hedge: HedgePolicy,
 }
 
 impl FleetConfig {
     /// Policy for `addrs` with defaults, overridable for drills via the
     /// `FDIP_FLEET_CONNECT_MS` / `FDIP_FLEET_HEARTBEAT_MS` /
-    /// `FDIP_FLEET_REPROBE_MS` / `FDIP_FLEET_HEDGE_AFTER_MS` environment
-    /// variables (tests shrink the heartbeat so partition drills converge
+    /// `FDIP_FLEET_REPROBE_MS` environment variables (tests shrink the heartbeat so partition drills converge
     /// in milliseconds, not seconds).
     pub fn new(addrs: Vec<String>) -> FleetConfig {
         let ms = |var: &str, default: u64| {
@@ -142,16 +91,11 @@ impl FleetConfig {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(default)
         };
-        let hedge = std::env::var("FDIP_FLEET_HEDGE_AFTER_MS")
-            .ok()
-            .and_then(|v| HedgePolicy::parse(&v).ok())
-            .unwrap_or_default();
         FleetConfig {
             addrs,
             connect_timeout: Duration::from_millis(ms("FDIP_FLEET_CONNECT_MS", 3_000)),
             heartbeat_timeout: Duration::from_millis(ms("FDIP_FLEET_HEARTBEAT_MS", 5_000)),
             reprobe_base: Duration::from_millis(ms("FDIP_FLEET_REPROBE_MS", 250)),
-            hedge,
         }
     }
 }
@@ -170,10 +114,6 @@ pub struct FleetStats {
     pub cells_redispatched: u64,
     /// Lost nodes readmitted (on probation) after a reprobe re-handshake.
     pub node_readmissions: u64,
-    /// Cells whose slow primary copy triggered a speculative second copy.
-    pub cells_hedged: u64,
-    /// Hedged cells where the speculative copy finished first.
-    pub hedge_wins: u64,
     /// Total milliseconds nodes spent down before readmission (divide by
     /// `node_readmissions` for mean time to recovery).
     pub readmission_downtime_ms: u64,
@@ -267,15 +207,10 @@ enum SlotOutcome {
     Unreachable(CellError),
     /// The cell ran (or died) on the node; this is the attempt's result.
     Final(CellError),
-    /// This copy lost a hedge race and was aborted mid-flight (its
-    /// connection severed, which kills the remote child). Not a node
-    /// failure and not a result — the winning copy already has one.
-    Cancelled,
 }
 
 /// The client side of distributed cell execution: a pool of TCP seats
-/// across registered worker daemons, presenting the same `run_cell`
-/// contract as the local [`Supervisor`](crate::supervisor::Supervisor).
+/// across registered worker daemons: the TCP cell executor.
 #[derive(Debug)]
 pub struct Fleet {
     inner: Arc<FleetInner>,
@@ -292,8 +227,8 @@ impl Drop for Fleet {
     }
 }
 
-/// The shared state behind a [`Fleet`]: dispatchers, hedge copies, and
-/// the reprobe thread all hold it through an `Arc`.
+/// The shared state behind a [`Fleet`]: dispatchers and the reprobe
+/// thread both hold it through an `Arc`.
 #[derive(Debug)]
 struct FleetInner {
     config: FleetConfig,
@@ -308,12 +243,7 @@ struct FleetInner {
     node_losses: AtomicU64,
     cells_redispatched: AtomicU64,
     node_readmissions: AtomicU64,
-    cells_hedged: AtomicU64,
-    hedge_wins: AtomicU64,
     readmission_downtime_ms: AtomicU64,
-    /// `(count, total_ms)` of observed cell completions, feeding the
-    /// `auto` hedge threshold.
-    completions: Mutex<(u64, u64)>,
     /// Tells the reprobe thread to exit (set when the `Fleet` drops).
     shutdown: AtomicBool,
 }
@@ -375,10 +305,7 @@ impl Fleet {
             node_losses: AtomicU64::new(0),
             cells_redispatched: AtomicU64::new(0),
             node_readmissions: AtomicU64::new(0),
-            cells_hedged: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
             readmission_downtime_ms: AtomicU64::new(0),
-            completions: Mutex::new((0, 0)),
             shutdown: AtomicBool::new(false),
         });
         let probe = Arc::clone(&inner);
@@ -425,15 +352,49 @@ impl Fleet {
             node_losses: inner.node_losses.load(Ordering::Relaxed),
             cells_redispatched: inner.cells_redispatched.load(Ordering::Relaxed),
             node_readmissions: inner.node_readmissions.load(Ordering::Relaxed),
-            cells_hedged: inner.cells_hedged.load(Ordering::Relaxed),
-            hedge_wins: inner.hedge_wins.load(Ordering::Relaxed),
             readmission_downtime_ms: inner.readmission_downtime_ms.load(Ordering::Relaxed),
         }
     }
+}
 
+impl Executor for Fleet {
+    fn reach(&self) -> Reach {
+        Reach::Fleet
+    }
+
+    fn run(&self, cell: &CellRun<'_>, fault: Option<Injected>) -> Result<SimStats, CellError> {
+        let (fault, net_fault) = match fault {
+            Some(Injected::Worker(fault)) => (Some(fault), None),
+            Some(Injected::Net(fault)) => (None, Some(fault)),
+            None => (None, None),
+        };
+        self.inner.dispatch(cell, fault, net_fault)
+    }
+
+    fn workers(&self) -> usize {
+        Fleet::workers(self)
+    }
+
+    fn fold_stats(&self, stats: &mut HarnessStats) {
+        let own = self.stats();
+        stats.fleet_workers = own.fleet_workers;
+        stats.node_losses = own.node_losses;
+        stats.cells_redispatched = own.cells_redispatched;
+        stats.node_readmissions = own.node_readmissions;
+    }
+
+    fn node_health(&self) -> Vec<(String, &'static str)> {
+        Fleet::node_health(self)
+            .into_iter()
+            .map(|(addr, health)| (addr, health.name()))
+            .collect()
+    }
+}
+
+impl FleetInner {
     /// Runs one cell attempt somewhere on the fleet, blocking until a
-    /// seat is free. Same contract as the local supervisor's `run_cell`,
-    /// plus an optional [`NetFault`] realized at this transport.
+    /// seat is free, with an optional [`NetFault`] realized at this
+    /// transport.
     ///
     /// Routing prefers the node picked by the cell's content hash (warm
     /// trace caches), rotated by attempt number so a re-dispatch lands
@@ -442,61 +403,27 @@ impl Fleet {
     /// charged against the retry budget — as long as one node answers,
     /// dead ones cost nothing but a refused dial.
     ///
-    /// # Errors
-    ///
-    /// Typed exactly like the local path: [`CellError::Timeout`] for a
-    /// budget preemption (the connection is severed, which kills the
+    /// Errors are typed exactly like the local path: [`CellError::Timeout`]
+    /// for a budget preemption (the connection is severed, which kills the
     /// remote child), [`CellError::Crashed`] for silent node loss or a
     /// remotely crashed child, [`CellError::Panic`] /
     /// [`CellError::Transient`] when the remote worker survived and said
     /// so itself.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_cell(
+    fn dispatch(
         &self,
-        workload: &WorkloadSpec,
-        trace_len: usize,
-        budget_ms: u64,
+        cell: &CellRun<'_>,
         fault: Option<WorkerFault>,
         net_fault: Option<NetFault>,
-        config: &FrontendConfig,
-        attempt: u32,
     ) -> Result<SimStats, CellError> {
-        FleetInner::dispatch_cell(
-            &self.inner,
-            workload,
-            trace_len,
-            budget_ms,
-            fault,
-            net_fault,
-            config,
-            attempt,
-        )
-    }
-}
-
-impl FleetInner {
-    /// The dispatch loop behind [`Fleet::run_cell`]. An associated fn
-    /// (not a method) because hedging needs to clone the `Arc` into
-    /// copy threads.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_cell(
-        inner: &Arc<FleetInner>,
-        workload: &WorkloadSpec,
-        trace_len: usize,
-        budget_ms: u64,
-        fault: Option<WorkerFault>,
-        net_fault: Option<NetFault>,
-        config: &FrontendConfig,
-        attempt: u32,
-    ) -> Result<SimStats, CellError> {
+        let attempt = cell.attempt;
         if attempt > 1 {
-            inner.cells_redispatched.fetch_add(1, Ordering::Relaxed);
+            self.cells_redispatched.fetch_add(1, Ordering::Relaxed);
         }
         let key = crate::fault::fnv1a(&format!(
             "{}\u{0}{}\u{0}{}",
-            workload.name,
-            trace_len,
-            crate::harness::config_fingerprint(config)
+            cell.spec.name,
+            cell.trace_len,
+            crate::harness::config_fingerprint(cell.config)
         ));
         let mut last = CellError::Transient {
             message: "fleet had no node to dispatch to".to_string(),
@@ -504,38 +431,15 @@ impl FleetInner {
         };
         // One re-route per registered node, so a single attempt walks the
         // whole fleet before conceding.
-        for round in 0..inner.nodes.len() {
-            let preferred = inner.route(key, attempt, round);
-            let index = inner.acquire_slot(preferred);
-            let outcome = match inner.hedge_threshold() {
-                // Hedging disabled (or not yet armed): the exact
-                // synchronous path, no thread, no channel.
-                None => {
-                    let abort = AtomicBool::new(false);
-                    let out = inner.run_on_slot(
-                        index, workload, trace_len, budget_ms, &fault, &net_fault, config,
-                        attempt, &abort,
-                    );
-                    inner.release_slot(index);
-                    out
-                }
-                Some(after) => Self::run_hedged(
-                    inner, index, after, workload, trace_len, budget_ms, &fault, &net_fault,
-                    config, attempt,
-                ),
-            };
+        for round in 0..self.nodes.len() {
+            let preferred = self.route(key, attempt, round);
+            let index = self.acquire_slot(preferred);
+            let outcome = self.run_on_slot(index, cell, &fault, &net_fault);
+            self.release_slot(index);
             match outcome {
                 Ok(stats) => return Ok(stats),
                 Err(SlotOutcome::Unreachable(err)) => last = err,
                 Err(SlotOutcome::Final(err)) => return Err(err),
-                // Defensive: a fully cancelled dispatch concedes the
-                // round and re-routes.
-                Err(SlotOutcome::Cancelled) => {
-                    last = CellError::Transient {
-                        message: "cell dispatch was cancelled mid-flight".to_string(),
-                        attempts: attempt,
-                    };
-                }
             }
         }
         Err(last)
@@ -731,221 +635,16 @@ impl FleetInner {
         }
     }
 
-    /// The in-flight duration past which a cell is hedged, or `None`
-    /// when hedging is off (or `auto` has not yet observed enough
-    /// completions to arm).
-    fn hedge_threshold(&self) -> Option<Duration> {
-        match self.config.hedge {
-            HedgePolicy::Off => None,
-            HedgePolicy::After(after) => Some(after),
-            HedgePolicy::Auto => {
-                let (count, total_ms) = *lock(&self.completions);
-                if count < 3 {
-                    return None;
-                }
-                Some(Duration::from_millis((3 * (total_ms / count)).max(200)))
-            }
-        }
-    }
-
-    /// Feeds the `auto` hedge threshold.
-    fn observe_completion(&self, took: Duration) {
-        let mut c = lock(&self.completions);
-        c.0 += 1;
-        c.1 += took.as_millis() as u64;
-    }
-
-    /// Non-blocking: a free seat on a routable node *other than* `avoid`
-    /// (the primary's node), for the speculative copy. `None` when the
-    /// fleet has nowhere better to send it — hedging is then skipped,
-    /// never queued, because a queued hedge would steal a seat a fresh
-    /// cell could use.
-    fn try_acquire_hedge_seat(&self, avoid: usize) -> Option<usize> {
-        let mut free = lock(&self.free);
-        let pos = free.iter().rposition(|&i| {
-            let node = self.slot_nodes[i];
-            node != avoid
-                && matches!(
-                    self.nodes[node].health(),
-                    NodeHealth::Healthy | NodeHealth::Probation
-                )
-        })?;
-        Some(free.remove(pos))
-    }
-
-    /// Spawns one copy of a cell on seat `index`; the thread releases the
-    /// seat itself and reports `(is_hedge, outcome)` on `tx`.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_copy(
-        inner: &Arc<FleetInner>,
-        index: usize,
-        is_hedge: bool,
-        workload: &WorkloadSpec,
-        trace_len: usize,
-        budget_ms: u64,
-        fault: Option<WorkerFault>,
-        net_fault: Option<NetFault>,
-        config: &FrontendConfig,
-        attempt: u32,
-        abort: Arc<AtomicBool>,
-        tx: mpsc::Sender<(bool, Result<SimStats, SlotOutcome>)>,
-    ) {
-        let inner = Arc::clone(inner);
-        let workload = workload.clone();
-        let config = config.clone();
-        std::thread::spawn(move || {
-            let outcome = inner.run_on_slot(
-                index, &workload, trace_len, budget_ms, &fault, &net_fault, &config, attempt,
-                &abort,
-            );
-            inner.release_slot(index);
-            // The receiver is gone once a winner returned; losers'
-            // reports are deliberately discarded.
-            let _ = tx.send((is_hedge, outcome));
-        });
-    }
-
-    /// Runs a cell with hedging armed: the primary copy goes out on the
-    /// already-acquired seat `index`; if no result lands within `after`,
-    /// a speculative copy is launched on a different healthy node and
-    /// the first completed result wins (byte-identical by construction —
-    /// the simulator is deterministic and cells are content-addressed).
-    /// The loser is aborted, which severs its connection — the existing
-    /// remote-kill path — and is never counted as a node failure.
-    #[allow(clippy::too_many_arguments)]
-    fn run_hedged(
-        inner: &Arc<FleetInner>,
-        index: usize,
-        after: Duration,
-        workload: &WorkloadSpec,
-        trace_len: usize,
-        budget_ms: u64,
-        fault: &Option<WorkerFault>,
-        net_fault: &Option<NetFault>,
-        config: &FrontendConfig,
-        attempt: u32,
-    ) -> Result<SimStats, SlotOutcome> {
-        let (tx, rx) = mpsc::channel();
-        let primary_node = inner.slot_nodes[index];
-        let primary_abort = Arc::new(AtomicBool::new(false));
-        Self::spawn_copy(
-            inner,
-            index,
-            false,
-            workload,
-            trace_len,
-            budget_ms,
-            fault.clone(),
-            net_fault.clone(),
-            config,
-            attempt,
-            Arc::clone(&primary_abort),
-            tx.clone(),
-        );
-        let deadline = Instant::now() + after;
-        let mut hedge_abort: Option<Arc<AtomicBool>> = None;
-        let mut hedge_decided = false;
-        let mut outstanding = 1u32;
-        let mut primary_result: Option<SlotOutcome> = None;
-        let mut hedge_result: Option<SlotOutcome> = None;
-        while outstanding > 0 {
-            let received = if hedge_decided {
-                rx.recv().map_err(|_| ())
-            } else {
-                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                    Ok(message) => Ok(message),
-                    Err(RecvTimeoutError::Timeout) => {
-                        // The primary is slow. Hedge once, if a seat on
-                        // another healthy node is free right now.
-                        hedge_decided = true;
-                        if let Some(seat) = inner.try_acquire_hedge_seat(primary_node) {
-                            inner.cells_hedged.fetch_add(1, Ordering::Relaxed);
-                            let abort = Arc::new(AtomicBool::new(false));
-                            // The hedge copy runs with a clean link:
-                            // injected net faults model the *primary's*
-                            // path, and hedging exists to escape it.
-                            Self::spawn_copy(
-                                inner,
-                                seat,
-                                true,
-                                workload,
-                                trace_len,
-                                budget_ms,
-                                fault.clone(),
-                                None,
-                                config,
-                                attempt,
-                                Arc::clone(&abort),
-                                tx.clone(),
-                            );
-                            hedge_abort = Some(abort);
-                            outstanding += 1;
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => Err(()),
-                }
-            };
-            let Ok((is_hedge, outcome)) = received else {
-                break;
-            };
-            outstanding -= 1;
-            match outcome {
-                Ok(stats) => {
-                    // First completed result wins; abort the other copy.
-                    // The loser's own result (even a second `Ok`) goes to
-                    // a dropped receiver, so nothing is double-counted.
-                    primary_abort.store(true, Ordering::Relaxed);
-                    if let Some(abort) = &hedge_abort {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    if is_hedge {
-                        inner.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(stats);
-                }
-                Err(outcome) => {
-                    if is_hedge {
-                        hedge_result = Some(outcome);
-                    } else {
-                        primary_result = Some(outcome);
-                    }
-                }
-            }
-        }
-        // Both copies failed (or only the primary ran and failed): the
-        // primary's verdict speaks for the cell, except that a concrete
-        // `Final` outcome from either copy beats an `Unreachable`.
-        Err(match (primary_result, hedge_result) {
-            (Some(primary @ SlotOutcome::Final(_)), _) => primary,
-            (_, Some(hedge @ SlotOutcome::Final(_))) => hedge,
-            (Some(primary), _) => primary,
-            (_, Some(hedge)) => hedge,
-            (None, None) => SlotOutcome::Unreachable(CellError::Transient {
-                message: "hedged dispatch lost both copies".to_string(),
-                attempts: attempt,
-            }),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn run_on_slot(
         &self,
         index: usize,
-        workload: &WorkloadSpec,
-        trace_len: usize,
-        budget_ms: u64,
+        cell: &CellRun<'_>,
         fault: &Option<WorkerFault>,
         net_fault: &Option<NetFault>,
-        config: &FrontendConfig,
-        attempt: u32,
-        abort: &AtomicBool,
     ) -> Result<SimStats, SlotOutcome> {
+        let (attempt, budget_ms) = (cell.attempt, cell.budget_ms());
         let node_index = self.slot_nodes[index];
         let mut slot = lock(&self.slots[index]);
-        if abort.load(Ordering::Relaxed) {
-            return Err(SlotOutcome::Cancelled);
-        }
         if slot.conn.is_none() {
             match dial(&self.nodes[node_index].addr, self.config.connect_timeout) {
                 Ok((stream, _seats)) => {
@@ -979,7 +678,6 @@ impl FleetInner {
         }
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
         let stream = slot.conn.as_mut().expect("connection just ensured");
         let sent = if matches!(net_fault, Some(NetFault::TruncFrame)) {
             // Corruption in flight: a complete frame whose body is
@@ -993,11 +691,11 @@ impl FleetInner {
         } else {
             let request = RunRequest {
                 id,
-                workload: workload.clone(),
-                trace_len,
+                workload: cell.spec.clone(),
+                trace_len: cell.trace_len,
                 budget_ms,
                 fault: fault.clone(),
-                config: config.clone(),
+                config: cell.config.clone(),
             };
             net::write_frame(stream, &request.to_json())
         };
@@ -1016,10 +714,6 @@ impl FleetInner {
         if matches!(net_fault, Some(NetFault::Partition)) {
             loop {
                 std::thread::sleep(POLL);
-                if abort.load(Ordering::Relaxed) {
-                    slot.conn = None; // severing is the remote SIGKILL
-                    return Err(SlotOutcome::Cancelled);
-                }
                 let now = Instant::now();
                 if budget_deadline.is_some_and(|deadline| now >= deadline) {
                     slot.conn = None;
@@ -1033,13 +727,6 @@ impl FleetInner {
         }
 
         loop {
-            // Checked every iteration, not just on read timeouts: a
-            // heartbeating-but-stalled peer keeps frames flowing, and a
-            // cancelled hedge loser must still step aside promptly.
-            if abort.load(Ordering::Relaxed) {
-                slot.conn = None; // severing is the remote SIGKILL
-                return Err(SlotOutcome::Cancelled);
-            }
             let stream = slot.conn.as_mut().expect("connection live while waiting");
             match net::read_frame(stream) {
                 Ok(Some(frame)) => {
@@ -1059,43 +746,24 @@ impl FleetInner {
                         Some(WorkerReply::Heartbeat) => {
                             heartbeat_deadline = Instant::now() + self.config.heartbeat_timeout;
                         }
-                        Some(WorkerReply::Ok { id: rid, stats }) if rid == id => {
-                            self.mark_replied(node_index);
-                            self.observe_completion(started.elapsed());
-                            return Ok(*stats);
-                        }
-                        Some(WorkerReply::Err {
-                            id: rid,
-                            kind,
-                            message,
-                            signal,
-                            code,
-                        }) if rid == id => {
-                            return Err(SlotOutcome::Final(if kind == "crashed" {
-                                // The remote child died; the daemon told
-                                // us so and will close this connection.
-                                // Typed like a local crash — retryable.
-                                slot.conn = None;
-                                CellError::Crashed {
-                                    signal,
-                                    code,
-                                    attempts: attempt,
+                        // `None` is a reply for a superseded id (a kill
+                        // raced a completion): dropped.
+                        Some(reply) => match reply.outcome(id, attempt) {
+                            Some(Ok(stats)) => {
+                                self.mark_replied(node_index);
+                                return Ok(stats);
+                            }
+                            Some(Err(err)) => {
+                                if matches!(err, CellError::Crashed { .. }) {
+                                    // The remote child died; the daemon
+                                    // told us so and will close this
+                                    // connection.
+                                    slot.conn = None;
                                 }
-                            } else if kind == "panic" {
-                                CellError::Panic {
-                                    message,
-                                    attempts: attempt,
-                                }
-                            } else {
-                                CellError::Transient {
-                                    message,
-                                    attempts: attempt,
-                                }
-                            }));
-                        }
-                        // A reply for a superseded id (kill raced a
-                        // completion): drop it.
-                        Some(_) => {}
+                                return Err(SlotOutcome::Final(err));
+                            }
+                            None => {}
+                        },
                         None => {
                             // The peer speaks frames but not our protocol:
                             // a corrupt or hostile stream. Sever it.
@@ -1109,13 +777,6 @@ impl FleetInner {
                     return Err(SlotOutcome::Final(self.node_lost(node_index, attempt)));
                 }
                 Err(err) if err.is_timeout() => {
-                    if abort.load(Ordering::Relaxed) {
-                        // This copy lost a hedge race: sever the
-                        // connection (the remote SIGKILL) and step aside
-                        // without charging the node a failure.
-                        slot.conn = None;
-                        return Err(SlotOutcome::Cancelled);
-                    }
                     let now = Instant::now();
                     if budget_deadline.is_some_and(|deadline| now >= deadline) {
                         // Severing the connection is the remote SIGKILL:
@@ -1168,122 +829,14 @@ fn dial(addr: &str, timeout: Duration) -> io::Result<(TcpStream, usize)> {
     }
 }
 
-#[cfg(unix)]
-fn exit_signal(status: &ExitStatus) -> Option<i32> {
-    std::os::unix::process::ExitStatusExt::signal(status)
-}
-
-#[cfg(not(unix))]
-fn exit_signal(_status: &ExitStatus) -> Option<i32> {
-    None
-}
-
-/// What the child's stdout reader thread forwards to the proxy loop.
-enum ChildEvent {
-    /// A raw frame from the child, forwarded to the client verbatim.
-    Frame(Json),
-    /// The child exited (or was killed).
-    Eof,
-    /// The pipe broke mid-frame — treated like a crash.
-    Failed(#[allow(dead_code)] io::Error),
-}
-
-/// A supervised child worker proxied to one fleet connection.
-struct ProxyChild {
-    child: Child,
-    stdin: ChildStdin,
-    events: Receiver<ChildEvent>,
-    cells_done: u64,
-}
-
-/// Self-execs the current binary as a PR 5 worker, exactly as the local
-/// supervisor does.
-fn spawn_proxy_child() -> io::Result<ProxyChild> {
-    let exe = std::env::current_exe()?;
-    let mut child = Command::new(exe)
-        .arg("worker")
-        .env(crate::worker::WORKER_ENV, "1")
-        // A daemon launched via the env entry must not leak its listen
-        // address into children, or they would become daemons too.
-        .env_remove(crate::worker::WORKERD_LISTEN_ENV)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()?;
-    let stdin = child.stdin.take().expect("stdin was piped");
-    let mut stdout = child.stdout.take().expect("stdout was piped");
-    let (sender, events) = mpsc::channel();
-    std::thread::spawn(move || loop {
-        let event = match read_frame(&mut stdout) {
-            Ok(Some(frame)) => ChildEvent::Frame(frame),
-            Ok(None) => ChildEvent::Eof,
-            Err(err) => ChildEvent::Failed(err),
-        };
-        let terminal = !matches!(event, ChildEvent::Frame(_));
-        if sender.send(event).is_err() || terminal {
-            return;
-        }
-    });
-    Ok(ProxyChild {
-        child,
-        stdin,
-        events,
-        cells_done: 0,
-    })
-}
-
-/// Reaps a child that is already gone (or nearly); SIGKILL on a zombie is
-/// a no-op and preserves the recorded exit status.
-fn reap_child(proxy: ProxyChild) -> io::Result<ExitStatus> {
-    let mut child = proxy.child;
-    let _ = child.kill();
-    child.wait()
-}
-
-/// SIGKILL without ceremony (client vanished; nobody to report to).
-fn kill_child(proxy: ProxyChild) {
-    let mut child = proxy.child;
-    let _ = child.kill();
-    let _ = child.wait();
-}
-
-/// Graceful retirement: close stdin (EOF ends the worker loop), give it a
-/// moment, escalate to SIGKILL if it will not leave.
-fn retire_child(proxy: ProxyChild) {
-    let ProxyChild {
-        mut child, stdin, ..
-    } = proxy;
-    drop(stdin);
-    for _ in 0..50 {
-        match child.try_wait() {
-            Ok(Some(_)) => return,
-            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-            Err(_) => break,
-        }
-    }
-    let _ = child.kill();
-    let _ = child.wait();
-}
-
 /// Builds the `crashed` reply a daemon sends when its proxied child died
 /// under a cell, carrying the exit evidence for remote classification.
-fn crash_reply(id: u64, status: io::Result<ExitStatus>) -> Json {
-    let (signal, code, message) = match status {
-        Ok(status) => {
-            let signal = exit_signal(&status);
-            let code = status.code();
-            let message = match (signal, code) {
-                (Some(sig), _) => format!("remote worker killed by signal {sig}"),
-                (None, Some(code)) => format!("remote worker exited with code {code}"),
-                (None, None) => "remote worker died without a status".to_string(),
-            };
-            (signal, code, message)
-        }
-        Err(_) => (
-            None,
-            None,
-            "remote worker died without a status".to_string(),
-        ),
+fn crash_reply(id: u64, status: &io::Result<std::process::ExitStatus>) -> Json {
+    let (signal, code) = child::exit_evidence(status);
+    let message = match (signal, code) {
+        (Some(sig), _) => format!("remote worker killed by signal {sig}"),
+        (None, Some(code)) => format!("remote worker exited with code {code}"),
+        (None, None) => "remote worker died without a status".to_string(),
     };
     WorkerReply::Err {
         id,
@@ -1397,7 +950,8 @@ fn serve_connection(mut stream: TcpStream, slots: usize, draining: &AtomicBool) 
         return;
     }
 
-    let mut child: Option<ProxyChild> = None;
+    let mut child: Option<Child> = None;
+    let mut cells_done = 0u64;
     let mut announced = false;
     loop {
         // Idle: wait for the next cell (or the drain signal).
@@ -1431,8 +985,11 @@ fn serve_connection(mut stream: TcpStream, slots: usize, draining: &AtomicBool) 
         }
 
         if child.is_none() {
-            match spawn_proxy_child() {
-                Ok(spawned) => child = Some(spawned),
+            match Child::spawn() {
+                Ok(spawned) => {
+                    child = Some(spawned);
+                    cells_done = 0;
+                }
                 Err(err) => {
                     let reply = WorkerReply::Err {
                         id: request.id,
@@ -1449,11 +1006,11 @@ fn serve_connection(mut stream: TcpStream, slots: usize, draining: &AtomicBool) 
             }
         }
         let proxy = child.as_mut().expect("child just ensured");
-        if write_frame(&mut proxy.stdin, &doc).is_err() {
+        if proxy.send(&doc).is_err() {
             // Child died between cells: report and close; the client
             // redials, getting a fresh connection and a fresh child.
-            let status = reap_child(child.take().expect("child present"));
-            let _ = net::write_frame(&mut stream, &crash_reply(request.id, status));
+            let status = child.take().expect("child present").reap();
+            let _ = net::write_frame(&mut stream, &crash_reply(request.id, &status));
             break;
         }
 
@@ -1462,14 +1019,14 @@ fn serve_connection(mut stream: TcpStream, slots: usize, draining: &AtomicBool) 
         // here — in-flight cells finish.
         let mut concluded = false;
         loop {
-            let proxy = child.as_mut().expect("child live while busy");
-            match proxy.events.recv_timeout(POLL) {
+            let proxy = child.as_ref().expect("child live while busy");
+            match proxy.recv_timeout(POLL) {
                 Ok(ChildEvent::Frame(frame)) => {
                     let done = concluding_id(&frame) == Some(request.id);
                     if net::write_frame(&mut stream, &frame).is_err() {
                         // The client vanished mid-cell: that is the remote
                         // SIGKILL (budget preemption or client death).
-                        kill_child(child.take().expect("child present"));
+                        child.take().expect("child present").kill();
                         return;
                     }
                     if done {
@@ -1477,190 +1034,32 @@ fn serve_connection(mut stream: TcpStream, slots: usize, draining: &AtomicBool) 
                         break;
                     }
                 }
-                Ok(ChildEvent::Eof) | Ok(ChildEvent::Failed(_)) => {
-                    let status = reap_child(child.take().expect("child present"));
-                    let _ = net::write_frame(&mut stream, &crash_reply(request.id, status));
+                Ok(ChildEvent::Eof | ChildEvent::Failed) | Err(RecvTimeoutError::Disconnected) => {
+                    let status = child.take().expect("child present").reap();
+                    let _ = net::write_frame(&mut stream, &crash_reply(request.id, &status));
                     break;
                 }
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    let status = reap_child(child.take().expect("child present"));
-                    let _ = net::write_frame(&mut stream, &crash_reply(request.id, status));
-                    break;
-                }
             }
         }
         if !concluded {
             break; // child crashed: close so the client starts clean
         }
-        let proxy = child.as_mut().expect("child survived the cell");
-        proxy.cells_done += 1;
-        if proxy.cells_done >= RECYCLE_AFTER {
-            retire_child(child.take().expect("child present"));
+        cells_done += 1;
+        if cells_done >= RECYCLE_AFTER {
+            child.take().expect("child survived the cell").retire();
         }
     }
     if let Some(proxy) = child {
-        retire_child(proxy);
-    }
-}
-
-/// What a [`ResultCache`] scan found, reported at attach time (the
-/// `journal restored ...`-style startup line).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheSummary {
-    /// Valid entries present.
-    pub entries: usize,
-    /// Files whose CRC frame or schema did not verify (bit rot), skipped.
-    pub corrupt: usize,
-}
-
-/// One [`ResultCache`] lookup's outcome.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CacheLookup {
-    /// The cell's finished statistics, verified end to end.
-    Hit(Box<SimStats>),
-    /// No entry for this cell.
-    Miss,
-    /// An entry exists but failed its CRC, schema, or key check — skipped
-    /// and counted, never trusted.
-    Corrupt,
-}
-
-/// The cluster-wide content-addressed result cache: one atomically
-/// written, CRC32-framed [`JournalEntry`] file per completed cell, keyed
-/// by `(workload, trace_len, config-fingerprint)`. Consulted before any
-/// dispatch; shared safely between concurrent processes because entries
-/// are immutable for a given key (the simulator is deterministic) and
-/// writes go through rename.
-pub struct ResultCache {
-    dir: PathBuf,
-}
-
-impl ResultCache {
-    /// Opens (creating if needed) the cache directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn open(dir: &Path) -> io::Result<ResultCache> {
-        std::fs::create_dir_all(dir)?;
-        Ok(ResultCache {
-            dir: dir.to_path_buf(),
-        })
-    }
-
-    /// Where this cache lives.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn entry_path(&self, workload: &str, trace_len: usize, fingerprint: &str) -> PathBuf {
-        let key = crate::fault::fnv1a(&format!("{workload}\u{0}{trace_len}\u{0}{fingerprint}"));
-        self.dir.join(format!("{key:016x}.cell"))
-    }
-
-    fn decode(contents: &str) -> Option<JournalEntry> {
-        let line = contents.lines().next()?;
-        let (stored_crc, payload) = split_crc_frame(line)?;
-        if crc32(payload.as_bytes()) != stored_crc {
-            return None;
-        }
-        JournalEntry::parse(payload)
-    }
-
-    /// Moves a corrupt entry aside to `{name}.cell.corrupt` (atomic
-    /// rename, best effort) so the next warm start does not re-parse the
-    /// same garbage; the `.corrupt` suffix hides it from [`scan`] while
-    /// preserving the bytes for a postmortem. A fresh [`store`] of the
-    /// same cell simply recreates the `.cell` file.
-    ///
-    /// [`scan`]: ResultCache::scan
-    /// [`store`]: ResultCache::store
-    fn quarantine(path: &Path) {
-        let mut target = path.as_os_str().to_os_string();
-        target.push(".corrupt");
-        let _ = std::fs::rename(path, &target);
-    }
-
-    /// Looks up one cell. A hit is verified three ways — CRC32 frame,
-    /// schema parse, and a full key comparison (so even an FNV collision
-    /// cannot serve the wrong cell's statistics). A corrupt entry is
-    /// quarantined on sight.
-    pub fn lookup(&self, workload: &str, trace_len: usize, fingerprint: &str) -> CacheLookup {
-        let path = self.entry_path(workload, trace_len, fingerprint);
-        let contents = match std::fs::read_to_string(&path) {
-            Ok(contents) => contents,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => return CacheLookup::Miss,
-            Err(_) => {
-                Self::quarantine(&path);
-                return CacheLookup::Corrupt;
-            }
-        };
-        match Self::decode(&contents) {
-            Some(entry)
-                if entry.workload == workload
-                    && entry.trace_len == trace_len
-                    && entry.config == fingerprint =>
-            {
-                CacheLookup::Hit(Box::new(entry.stats))
-            }
-            _ => {
-                Self::quarantine(&path);
-                CacheLookup::Corrupt
-            }
-        }
-    }
-
-    /// Persists one completed cell, atomically (temp + fsync + rename):
-    /// a concurrent reader sees the old entry or the new one, never a
-    /// torn file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn store(&self, entry: &JournalEntry) -> io::Result<()> {
-        let path = self.entry_path(&entry.workload, entry.trace_len, &entry.config);
-        let payload = entry.to_json().to_string();
-        let line = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
-        crate::persist::write_atomic(&path, line.as_bytes())
-    }
-
-    /// Scans the cache, counting valid and corrupt entries — the warm
-    /// start report. Corrupt entries are quarantined as they are found,
-    /// so a second scan of an untouched cache reports zero corrupt.
-    pub fn scan(&self) -> CacheSummary {
-        let mut summary = CacheSummary::default();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return summary;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("cell") {
-                continue;
-            }
-            // Valid means fully valid: frame, schema, *and* addressing —
-            // an intact entry sitting under some other cell's key would
-            // be refused by `lookup`, so the scan calls it corrupt too.
-            let valid = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|contents| Self::decode(&contents))
-                .is_some_and(|decoded| {
-                    self.entry_path(&decoded.workload, decoded.trace_len, &decoded.config) == path
-                });
-            if valid {
-                summary.entries += 1;
-            } else {
-                Self::quarantine(&path);
-                summary.corrupt += 1;
-            }
-        }
-        summary
+        proxy.retire();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadSpec;
+    use fdip::FrontendConfig;
     use std::net::TcpListener;
 
     fn canned_stats() -> SimStats {
@@ -1671,9 +1070,23 @@ mod tests {
         }
     }
 
-    fn spec() -> WorkloadSpec {
-        use fdip_trace::gen::Profile;
-        WorkloadSpec::new(Profile::Server, 1)
+    /// One attempt at a fixed cell, with an optional network fault.
+    fn run(
+        fleet: &Fleet,
+        net_fault: Option<NetFault>,
+        attempt: u32,
+    ) -> Result<SimStats, CellError> {
+        let spec = WorkloadSpec::new(fdip_trace::gen::Profile::Server, 1);
+        let config = FrontendConfig::default();
+        let cell = CellRun {
+            spec: &spec,
+            trace_len: 1000,
+            label: "c",
+            config: &config,
+            budget: None,
+            attempt,
+        };
+        fleet.run(&cell, net_fault.map(Injected::Net))
     }
 
     /// A scripted peer standing in for a workerd: accepts `conns`
@@ -1702,7 +1115,6 @@ mod tests {
             connect_timeout: Duration::from_secs(2),
             heartbeat_timeout: Duration::from_millis(400),
             reprobe_base: Duration::from_millis(50),
-            hedge: HedgePolicy::Off,
         }
     }
 
@@ -1721,12 +1133,8 @@ mod tests {
         let fleet = Fleet::connect(tiny_config(vec![addr.clone()])).unwrap();
         assert_eq!(fleet.workers(), 1);
         assert_eq!(fleet.nodes(), vec![(addr, 1)]);
-        let stats = fleet
-            .run_cell(&spec(), 1000, 0, None, None, &FrontendConfig::default(), 1)
-            .unwrap();
+        let stats = run(&fleet, None, 1).unwrap();
         assert_eq!(stats, canned_stats());
-        // With `HedgePolicy::Off` the dispatch is provably inert: every
-        // hedge-related counter stays exactly zero.
         assert_eq!(
             fleet.stats(),
             FleetStats {
@@ -1734,8 +1142,6 @@ mod tests {
                 node_losses: 0,
                 cells_redispatched: 0,
                 node_readmissions: 0,
-                cells_hedged: 0,
-                hedge_wins: 0,
                 readmission_downtime_ms: 0,
             }
         );
@@ -1758,19 +1164,14 @@ mod tests {
             net::write_frame(stream, &reply.to_json()).unwrap();
         });
         let fleet = Fleet::connect(tiny_config(vec![addr])).unwrap();
-        let config = FrontendConfig::default();
-        let err = fleet
-            .run_cell(&spec(), 1000, 0, None, None, &config, 1)
-            .unwrap_err();
+        let err = run(&fleet, None, 1).unwrap_err();
         assert!(
             matches!(err, CellError::Crashed { .. }),
             "node loss must be retryable Crashed, got {err:?}"
         );
         assert!(err.retryable());
         // The retry (attempt 2) redials and succeeds.
-        let stats = fleet
-            .run_cell(&spec(), 1000, 0, None, None, &config, 2)
-            .unwrap();
+        let stats = run(&fleet, None, 2).unwrap();
         assert_eq!(stats, canned_stats());
         let stats = fleet.stats();
         assert_eq!(stats.node_losses, 1);
@@ -1792,17 +1193,7 @@ mod tests {
         });
         let fleet = Fleet::connect(tiny_config(vec![addr])).unwrap();
         let start = Instant::now();
-        let err = fleet
-            .run_cell(
-                &spec(),
-                1000,
-                0,
-                None,
-                Some(NetFault::Partition),
-                &FrontendConfig::default(),
-                1,
-            )
-            .unwrap_err();
+        let err = run(&fleet, Some(NetFault::Partition), 1).unwrap_err();
         assert!(matches!(err, CellError::Crashed { .. }), "{err:?}");
         assert!(
             start.elapsed() >= Duration::from_millis(350),
@@ -1820,17 +1211,7 @@ mod tests {
             while let Ok(Some(_)) = net::read_frame(stream) {}
         });
         let fleet = Fleet::connect(tiny_config(vec![addr])).unwrap();
-        let err = fleet
-            .run_cell(
-                &spec(),
-                1000,
-                0,
-                None,
-                Some(NetFault::Drop),
-                &FrontendConfig::default(),
-                1,
-            )
-            .unwrap_err();
+        let err = run(&fleet, Some(NetFault::Drop), 1).unwrap_err();
         assert!(matches!(err, CellError::Crashed { .. }), "{err:?}");
         assert_eq!(fleet.stats().node_losses, 1);
         drop(fleet); // closes the connection so the node thread ends
@@ -1849,18 +1230,14 @@ mod tests {
                 let (mut stream, _) = listener.accept().unwrap();
                 let doc = net::read_frame(&mut stream).unwrap().unwrap();
                 assert!(Hello::from_json(&doc).is_some());
-                net::write_frame(&mut stream, &Welcome::Accepted { slots: 1 }.to_json())
-                    .unwrap();
+                net::write_frame(&mut stream, &Welcome::Accepted { slots: 1 }.to_json()).unwrap();
                 // Die as soon as a cell arrives.
                 let _ = net::read_frame(&mut stream);
             }
         });
         let fleet = Fleet::connect(tiny_config(vec![addr.clone()])).unwrap();
-        let config = FrontendConfig::default();
         for attempt in 1..=2 {
-            let err = fleet
-                .run_cell(&spec(), 1000, 0, None, None, &config, attempt)
-                .unwrap_err();
+            let err = run(&fleet, None, attempt).unwrap_err();
             assert!(err.retryable(), "{err:?}");
         }
         phase1.join().unwrap();
@@ -1884,11 +1261,8 @@ mod tests {
                         if Hello::from_json(&doc).is_none() {
                             continue;
                         }
-                        if net::write_frame(
-                            &mut stream,
-                            &Welcome::Accepted { slots: 1 }.to_json(),
-                        )
-                        .is_err()
+                        if net::write_frame(&mut stream, &Welcome::Accepted { slots: 1 }.to_json())
+                            .is_err()
                         {
                             continue;
                         }
@@ -1916,10 +1290,11 @@ mod tests {
             assert!(Instant::now() < deadline, "node was never readmitted");
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert_eq!(fleet.node_health(), vec![(addr.clone(), NodeHealth::Probation)]);
-        let stats = fleet
-            .run_cell(&spec(), 1000, 0, None, None, &config, 3)
-            .unwrap();
+        assert_eq!(
+            fleet.node_health(),
+            vec![(addr.clone(), NodeHealth::Probation)]
+        );
+        let stats = run(&fleet, None, 3).unwrap();
         assert_eq!(stats, canned_stats());
         assert_eq!(fleet.node_health(), vec![(addr, NodeHealth::Healthy)]);
         let stats = fleet.stats();
@@ -1928,63 +1303,6 @@ mod tests {
         assert!(stats.readmission_downtime_ms > 0);
         stop.store(true, Ordering::Relaxed);
         phase2.join().unwrap();
-    }
-
-    #[test]
-    fn hedged_dispatch_races_a_stalled_node_and_the_first_result_wins() {
-        // Two one-seat nodes; whichever receives the cell first stalls
-        // (heartbeating, so liveness never trips), the other answers.
-        let claimed = Arc::new(AtomicBool::new(false));
-        let make = |claimed: Arc<AtomicBool>| {
-            fake_node(1, move |_, stream| {
-                let doc = net::read_frame(stream).unwrap().unwrap();
-                let request = RunRequest::from_json(&doc).expect("a run request");
-                if !claimed.swap(true, Ordering::SeqCst) {
-                    // Stall until the hedge wins and our link is severed.
-                    loop {
-                        if net::write_frame(stream, &WorkerReply::Heartbeat.to_json()).is_err() {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                }
-                let reply = WorkerReply::Ok {
-                    id: request.id,
-                    stats: Box::new(canned_stats()),
-                };
-                let _ = net::write_frame(stream, &reply.to_json());
-            })
-        };
-        let (addr_a, node_a) = make(Arc::clone(&claimed));
-        let (addr_b, node_b) = make(claimed);
-        let config = FleetConfig {
-            addrs: vec![addr_a, addr_b],
-            connect_timeout: Duration::from_secs(2),
-            heartbeat_timeout: Duration::from_secs(5),
-            reprobe_base: Duration::from_millis(50),
-            hedge: HedgePolicy::After(Duration::from_millis(150)),
-        };
-        let fleet = Fleet::connect(config).unwrap();
-        let start = Instant::now();
-        let stats = fleet
-            .run_cell(&spec(), 1000, 0, None, None, &FrontendConfig::default(), 1)
-            .unwrap();
-        assert_eq!(stats, canned_stats());
-        assert!(
-            start.elapsed() < Duration::from_secs(3),
-            "the hedge must beat the 5s heartbeat deadline, took {:?}",
-            start.elapsed()
-        );
-        let stats = fleet.stats();
-        assert_eq!(stats.cells_hedged, 1);
-        assert_eq!(stats.hedge_wins, 1);
-        assert_eq!(
-            stats.node_losses, 0,
-            "a cancelled hedge loser is not a node failure"
-        );
-        drop(fleet); // severs the stalled node's link so its loop exits
-        node_a.join().unwrap();
-        node_b.join().unwrap();
     }
 
     #[test]
@@ -2055,138 +1373,5 @@ mod tests {
                 Err(err) => panic!("handshake read failed: {err}"),
             }
         }
-    }
-
-    #[test]
-    fn cache_round_trips_detects_corruption_and_rejects_key_mismatches() {
-        let dir = std::env::temp_dir().join(format!("fdip-cellcache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.scan(), CacheSummary::default());
-        assert_eq!(cache.lookup("w", 1000, "cfg"), CacheLookup::Miss);
-
-        let entry = JournalEntry {
-            workload: "w".to_string(),
-            trace_len: 1000,
-            config: "cfg".to_string(),
-            stats: canned_stats(),
-        };
-        cache.store(&entry).unwrap();
-        assert_eq!(
-            cache.lookup("w", 1000, "cfg"),
-            CacheLookup::Hit(Box::new(canned_stats()))
-        );
-        assert_eq!(
-            cache.scan(),
-            CacheSummary {
-                entries: 1,
-                corrupt: 0
-            }
-        );
-
-        // A colliding file holding some *other* cell's entry must not be
-        // served: the stored key is compared in full. The corrupt entry
-        // is quarantined on sight, so the next lookup is a clean miss.
-        let other_path = cache.entry_path("other", 9, "zzz");
-        std::fs::copy(cache.entry_path("w", 1000, "cfg"), &other_path).unwrap();
-        assert_eq!(cache.lookup("other", 9, "zzz"), CacheLookup::Corrupt);
-        assert!(!other_path.exists(), "corrupt entry must be moved aside");
-        let mut quarantined = other_path.into_os_string();
-        quarantined.push(".corrupt");
-        assert!(
-            PathBuf::from(quarantined).exists(),
-            "the bytes must survive for a postmortem"
-        );
-        assert_eq!(cache.lookup("other", 9, "zzz"), CacheLookup::Miss);
-
-        // Bit rot: flip a byte inside the payload → CRC catches it, the
-        // file is quarantined, and a fresh store repairs the entry.
-        let path = cache.entry_path("w", 1000, "cfg");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(cache.lookup("w", 1000, "cfg"), CacheLookup::Corrupt);
-        assert_eq!(cache.lookup("w", 1000, "cfg"), CacheLookup::Miss);
-        cache.store(&entry).unwrap();
-        assert_eq!(
-            cache.lookup("w", 1000, "cfg"),
-            CacheLookup::Hit(Box::new(canned_stats()))
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_scan_quarantines_corruption_so_the_second_scan_is_clean() {
-        let dir = std::env::temp_dir().join(format!("fdip-cellcache-q-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        for (name, len) in [("alpha", 100), ("beta", 200)] {
-            cache
-                .store(&JournalEntry {
-                    workload: name.to_string(),
-                    trace_len: len,
-                    config: "cfg".to_string(),
-                    stats: canned_stats(),
-                })
-                .unwrap();
-        }
-        // Rot one of the two entries on disk.
-        let path = cache.entry_path("alpha", 100, "cfg");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let first = cache.scan();
-        assert_eq!(
-            first,
-            CacheSummary {
-                entries: 1,
-                corrupt: 1
-            }
-        );
-        // The corrupt file was moved aside: scanning again re-parses
-        // nothing and reports a clean cache.
-        let second = cache.scan();
-        assert_eq!(
-            second,
-            CacheSummary {
-                entries: 1,
-                corrupt: 0
-            }
-        );
-        // The survivor still serves; the rotted cell is a plain miss.
-        assert_eq!(
-            cache.lookup("beta", 200, "cfg"),
-            CacheLookup::Hit(Box::new(canned_stats()))
-        );
-        assert_eq!(cache.lookup("alpha", 100, "cfg"), CacheLookup::Miss);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn every_truncation_of_a_cache_entry_is_corrupt_never_a_panic() {
-        let dir = std::env::temp_dir().join(format!("fdip-cellcache-tr-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let entry = JournalEntry {
-            workload: "w".to_string(),
-            trace_len: 500,
-            config: "cfg".to_string(),
-            stats: canned_stats(),
-        };
-        cache.store(&entry).unwrap();
-        let path = cache.entry_path("w", 500, "cfg");
-        let full = std::fs::read(&path).unwrap();
-        for cut in 0..full.len().saturating_sub(1) {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            assert_eq!(
-                cache.lookup("w", 500, "cfg"),
-                CacheLookup::Corrupt,
-                "cut at {cut}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -26,8 +26,8 @@
 //!   produce byte-identical statistics to solo runs (enforced by
 //!   `fdip`'s differential proptests and the tests here), share the same
 //!   cache slots and fingerprints, and journal identically; the pass
-//!   stands down entirely when a fault plan, process isolation, or a
-//!   cell budget is active, or when [`Harness::set_batching`] turned it
+//!   stands down entirely when a fault plan, an out-of-process executor,
+//!   or a cell budget is active, or when [`Harness::set_batching`] turned it
 //!   off (`--batch=off` on the CLIs).
 //!
 //! On top of the caching sits the fault model (see [`crate::fault`]):
@@ -75,23 +75,26 @@
 use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
 
-use fdip::{run_batch, CancelToken, Cancelled, FrontendConfig, SimStats, Simulator};
+use fdip::{run_batch, FrontendConfig, SimStats};
 use fdip_trace::{Trace, TraceStats};
 
-use crate::fault::{fnv1a, splitmix64, CellError, FaultAction, FaultPlan, RetryPolicy};
-use crate::fleet::{CacheLookup, CacheSummary, Fleet, FleetConfig, ResultCache};
-use crate::ipc::WorkerFault;
+use crate::cache::{CacheLookup, CacheSummary, ResultCache};
+use crate::exec::{self, quiet_catch_unwind, CellRun, Executor, InProcess, Reach};
+use crate::fault::{fnv1a, splitmix64, CellError, FaultPlan, RetryPolicy};
+use crate::fleet::{Fleet, FleetConfig};
 use crate::journal::{self, Journal, JournalEntry, JournalSummary};
-use crate::net::NetFault;
 use crate::runner::RunResult;
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use crate::workload::WorkloadSpec;
+
+/// The executor slot: a shared out-of-process executor, or `None` for
+/// in-process execution.
+type ExecutorSlot = Mutex<Option<Arc<dyn Executor + Send + Sync>>>;
 
 /// Locks a mutex, recovering from poisoning. Every shared structure in
 /// the harness holds plain finished values (or a state flag that the
@@ -170,11 +173,6 @@ pub struct HarnessStats {
     /// Lost fleet nodes readmitted (on probation) after a reprobe
     /// completed a full re-handshake.
     pub node_readmissions: u64,
-    /// Cells whose slow primary dispatch triggered a speculative second
-    /// copy on another node (fleet hedging).
-    pub cells_hedged: u64,
-    /// Hedged cells where the speculative copy finished first.
-    pub hedge_wins: u64,
 }
 
 impl HarnessStats {
@@ -208,8 +206,6 @@ impl fdip_types::ToJson for HarnessStats {
             cells_redispatched,
             remote_cache_hits,
             node_readmissions,
-            cells_hedged,
-            hedge_wins,
         )
     }
 }
@@ -260,11 +256,9 @@ pub struct Harness {
     faults: Mutex<Option<Arc<FaultPlan>>>,
     retry: Mutex<RetryPolicy>,
     journal: Mutex<Option<Arc<Journal>>>,
-    /// When set, cell attempts run in supervised worker processes.
-    isolation: Mutex<Option<Arc<Supervisor>>>,
-    /// When set, cell attempts are dispatched to remote worker daemons
-    /// (takes precedence over local isolation).
-    fleet: Mutex<Option<Arc<Fleet>>>,
+    /// When set, cell attempts run on this executor (supervised worker
+    /// processes or a fleet of worker daemons) instead of in-process.
+    executor: ExecutorSlot,
     /// When set, finished cells persist to (and are restored from) the
     /// shared on-disk result cache.
     disk_cache: Mutex<Option<Arc<ResultCache>>>,
@@ -311,18 +305,10 @@ impl Harness {
         GLOBAL.get_or_init(Harness::new)
     }
 
-    /// Current cache and fault counters (worker counters folded in from
-    /// the supervisor when isolation is enabled).
+    /// Current cache and fault counters (worker and fleet counters folded
+    /// in from the attached executor, if any).
     pub fn stats(&self) -> HarnessStats {
-        let supervisor = lock(&self.isolation)
-            .as_deref()
-            .map(Supervisor::stats)
-            .unwrap_or_default();
-        let fleet = lock(&self.fleet)
-            .as_deref()
-            .map(Fleet::stats)
-            .unwrap_or_default();
-        HarnessStats {
+        let mut stats = HarnessStats {
             traces_generated: self.traces_generated.load(Ordering::Relaxed),
             trace_hits: self.trace_hits.load(Ordering::Relaxed),
             traces_shared: self.traces_shared.load(Ordering::Relaxed),
@@ -335,40 +321,21 @@ impl Harness {
             cell_timeouts: self.cell_timeouts.load(Ordering::Relaxed),
             journal_restored: self.journal_restored.load(Ordering::Relaxed),
             journal_corrupt_lines: self.journal_corrupt_lines.load(Ordering::Relaxed),
-            worker_restarts: supervisor.worker_restarts,
-            worker_kills: supervisor.worker_kills,
-            worker_crash_loops: supervisor.worker_crash_loops,
-            fleet_workers: fleet.fleet_workers,
-            node_losses: fleet.node_losses,
-            cells_redispatched: fleet.cells_redispatched,
             remote_cache_hits: self.remote_cache_hits.load(Ordering::Relaxed),
-            node_readmissions: fleet.node_readmissions,
-            cells_hedged: fleet.cells_hedged,
-            hedge_wins: fleet.hedge_wins,
+            ..HarnessStats::default()
+        };
+        if let Some(executor) = lock(&self.executor).as_deref() {
+            executor.fold_stats(&mut stats);
         }
+        stats
     }
 
     /// Per-node fleet health states (addr, state name), empty when no
     /// fleet is attached — the `/metrics` health gauge family.
     pub fn fleet_node_health(&self) -> Vec<(String, &'static str)> {
-        lock(&self.fleet)
+        lock(&self.executor)
             .as_deref()
-            .map(|fleet| {
-                fleet
-                    .node_health()
-                    .into_iter()
-                    .map(|(addr, health)| (addr, health.name()))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Raw fleet counters (including MTTR accounting not folded into
-    /// [`HarnessStats`]), default when no fleet is attached.
-    pub fn fleet_stats(&self) -> crate::fleet::FleetStats {
-        lock(&self.fleet)
-            .as_deref()
-            .map(Fleet::stats)
+            .map(Executor::node_health)
             .unwrap_or_default()
     }
 
@@ -377,16 +344,16 @@ impl Harness {
     /// runaway loops cost one worker, not this process, and the per-cell
     /// budget becomes a hard SIGKILL deadline instead of a cooperative
     /// cancellation. Caching, retries, journaling, and result ordering
-    /// are unchanged.
+    /// are unchanged. Replaces any executor attached before.
     pub fn enable_isolation(&self, config: SupervisorConfig) -> Arc<Supervisor> {
         let supervisor = Arc::new(Supervisor::new(config));
-        *lock(&self.isolation) = Some(Arc::clone(&supervisor));
+        *lock(&self.executor) = Some(Arc::clone(&supervisor) as _);
         supervisor
     }
 
-    /// Whether cell computes are currently process-isolated.
+    /// Whether cell computes currently run in local worker processes.
     pub fn isolation_enabled(&self) -> bool {
-        lock(&self.isolation).is_some()
+        self.executor_reach() == Reach::Process
     }
 
     /// Routes all subsequent cell computes to a TCP fleet of worker
@@ -394,21 +361,33 @@ impl Harness {
     /// killed process, severed link, silent partition, corrupt frame —
     /// becomes a retryable [`CellError::Crashed`] and the cell is
     /// re-dispatched elsewhere, so node loss never fails a run. Caching,
-    /// retries, journaling, and result ordering are unchanged. Takes
-    /// precedence over local isolation.
+    /// retries, journaling, and result ordering are unchanged. Replaces
+    /// any executor attached before.
     ///
     /// # Errors
     ///
     /// Fails only when *no* configured node is reachable.
     pub fn enable_fleet(&self, config: FleetConfig) -> io::Result<Arc<Fleet>> {
         let fleet = Arc::new(Fleet::connect(config)?);
-        *lock(&self.fleet) = Some(Arc::clone(&fleet));
+        *lock(&self.executor) = Some(Arc::clone(&fleet) as _);
         Ok(fleet)
     }
 
     /// Whether cell computes are currently dispatched to a fleet.
     pub fn fleet_enabled(&self) -> bool {
-        lock(&self.fleet).is_some()
+        self.executor_reach() == Reach::Fleet
+    }
+
+    /// Attaches `executor` for every subsequent cell compute.
+    #[cfg(test)]
+    pub(crate) fn set_executor(&self, executor: Arc<dyn Executor + Send + Sync>) {
+        *lock(&self.executor) = Some(executor);
+    }
+
+    fn executor_reach(&self) -> Reach {
+        lock(&self.executor)
+            .as_deref()
+            .map_or(Reach::InProcess, Executor::reach)
     }
 
     /// Attaches the shared on-disk result cache at `dir`: every cell
@@ -613,24 +592,15 @@ impl Harness {
         }
         match self.compute_cell(spec, trace_len, label, config, &fingerprint) {
             Ok((entry, stats)) => {
-                *lock(&slot.state) = CellState::Done(Arc::clone(&stats));
-                slot.done.notify_all();
-                self.cells_simulated.fetch_add(1, Ordering::Relaxed);
-                let record = JournalEntry {
-                    workload: spec.name.clone(),
+                let journal = lock(&self.journal).clone();
+                self.publish(
+                    &slot,
+                    journal.as_deref(),
+                    spec,
                     trace_len,
-                    config: fingerprint,
-                    stats: (*stats).clone(),
-                };
-                if let Some(journal) = lock(&self.journal).clone() {
-                    if let Err(err) = journal.append(&record) {
-                        eprintln!(
-                            "warning: journal append to {} failed: {err}",
-                            journal.path().display()
-                        );
-                    }
-                }
-                self.cache_store(&record);
+                    fingerprint,
+                    &stats,
+                );
                 Ok((entry, stats))
             }
             Err(error) => {
@@ -645,12 +615,38 @@ impl Harness {
         }
     }
 
-    /// Persists one completed cell to the attached disk cache, if any;
-    /// a store failure degrades to a warning (the result is already in
-    /// memory — only warm restarts lose out).
-    fn cache_store(&self, record: &JournalEntry) {
+    /// Publishes one freshly simulated cell: its slot turns `Done` (waking
+    /// waiters), and the result is appended to `journal` and the attached
+    /// disk cache. Persistence failures degrade to warnings — the result
+    /// is already in memory; only resumes and warm restarts lose out.
+    fn publish(
+        &self,
+        slot: &CellSlot,
+        journal: Option<&Journal>,
+        spec: &WorkloadSpec,
+        trace_len: usize,
+        fingerprint: String,
+        stats: &Arc<SimStats>,
+    ) {
+        *lock(&slot.state) = CellState::Done(Arc::clone(stats));
+        slot.done.notify_all();
+        self.cells_simulated.fetch_add(1, Ordering::Relaxed);
+        let record = JournalEntry {
+            workload: spec.name.clone(),
+            trace_len,
+            config: fingerprint,
+            stats: (**stats).clone(),
+        };
+        if let Some(journal) = journal {
+            if let Err(err) = journal.append(&record) {
+                eprintln!(
+                    "warning: journal append to {} failed: {err}",
+                    journal.path().display()
+                );
+            }
+        }
         if let Some(cache) = lock(&self.disk_cache).clone() {
-            if let Err(err) = cache.store(record) {
+            if let Err(err) = cache.store(&record) {
                 eprintln!(
                     "warning: cell cache store to {} failed: {err}",
                     cache.dir().display()
@@ -660,9 +656,9 @@ impl Harness {
     }
 
     /// Computes one claimed cell under the fault model: up to
-    /// `max_attempts` tries, each isolated by `catch_unwind`, with
-    /// deterministic jittered backoff between retryable failures and a
-    /// cooperative wall-clock budget per attempt.
+    /// `max_attempts` tries through the attached executor (in-process when
+    /// none is attached), with deterministic jittered backoff between
+    /// retryable failures and a wall-clock budget per attempt.
     fn compute_cell(
         &self,
         spec: &WorkloadSpec,
@@ -673,8 +669,12 @@ impl Harness {
     ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
         let retry = self.retry_policy();
         let plan = lock(&self.faults).clone();
-        let isolation = lock(&self.isolation).clone();
-        let fleet = lock(&self.fleet).clone();
+        let attached = lock(&self.executor).clone();
+        let local = InProcess::new(self);
+        let executor: &dyn Executor = match attached.as_deref() {
+            Some(executor) => executor,
+            None => &local,
+        };
         let seed = plan.as_ref().map_or(0, |p| p.seed());
         let jitter_key =
             splitmix64(fnv1a(&spec.name) ^ fnv1a(fingerprint) ^ (trace_len as u64) ^ seed);
@@ -688,277 +688,31 @@ impl Harness {
                 self.cell_retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(retry.backoff_before(attempt, jitter_key));
             }
-            let outcome = if let Some(fleet) = fleet.as_deref() {
-                // Fleet attempts cannot panic here either: whatever
-                // happened on (or to) the remote node arrives as a typed
-                // error through the same taxonomy.
-                Ok(self.attempt_cell_fleet(
-                    fleet,
-                    spec,
-                    trace_len,
-                    label,
-                    config,
-                    plan.as_deref(),
-                    &retry,
-                    attempt,
-                ))
-            } else if let Some(supervisor) = isolation.as_deref() {
-                // Isolated attempts cannot panic here: the panic (or
-                // worse) happens in the worker process and comes back as
-                // a typed error.
-                Ok(self.attempt_cell_isolated(
-                    supervisor,
-                    spec,
-                    trace_len,
-                    label,
-                    config,
-                    plan.as_deref(),
-                    &retry,
-                    attempt,
-                ))
-            } else {
-                let token = match retry.cell_budget {
-                    Some(budget) => CancelToken::with_deadline(budget),
-                    None => CancelToken::new(),
-                };
-                quiet_catch_unwind(AssertUnwindSafe(|| {
-                    self.attempt_cell(
-                        spec,
-                        trace_len,
-                        label,
-                        config,
-                        plan.as_deref(),
-                        &retry,
-                        &token,
-                        attempt,
-                    )
-                }))
+            let cell = CellRun {
+                spec,
+                trace_len,
+                label,
+                config,
+                budget: retry.cell_budget,
+                attempt,
             };
-            match outcome {
-                Ok(Ok(pair)) => return Ok(pair),
-                Ok(Err(err)) => error = err,
-                Err(payload) => {
-                    error = CellError::Panic {
-                        message: panic_message(payload.as_ref()),
-                        attempts: attempt,
-                    };
+            match exec::attempt(executor, &cell, plan.as_deref()) {
+                Ok(stats) => {
+                    // The in-process executor kept the entry it simulated
+                    // over; any other one simulated elsewhere, so the
+                    // result's trace characterization comes from the store.
+                    let entry = local
+                        .take_entry()
+                        .unwrap_or_else(|| self.trace(spec, trace_len));
+                    return Ok((entry, Arc::new(stats)));
                 }
+                Err(err) => error = err,
             }
             if !error.retryable() {
                 break;
             }
         }
         Err(error)
-    }
-
-    /// One isolated attempt at a cell: fire any armed fault, fetch the
-    /// trace, honor the cancellation token, simulate.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_cell(
-        &self,
-        spec: &WorkloadSpec,
-        trace_len: usize,
-        label: &str,
-        config: &FrontendConfig,
-        plan: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-        token: &CancelToken,
-        attempt: u32,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
-        let budget_ms = retry
-            .cell_budget
-            .map_or(0, |b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX));
-        let action = plan.and_then(|p| p.fire(&spec.name, label));
-        match action {
-            Some(FaultAction::Panic) => {
-                panic!("injected fault: panic at ({}, {label})", spec.name)
-            }
-            Some(FaultAction::TraceDecode) => {
-                return Err(CellError::Transient {
-                    message: format!("injected fault: trace decode failed for {}", spec.name),
-                    attempts: attempt,
-                });
-            }
-            Some(FaultAction::Transient) => {
-                return Err(CellError::Transient {
-                    message: format!(
-                        "injected fault: transient failure at ({}, {label})",
-                        spec.name
-                    ),
-                    attempts: attempt,
-                });
-            }
-            // Crash-class faults would take this whole process down; the
-            // CLI gates them behind --isolate, and this backstop keeps a
-            // plan smuggled in some other way visible instead of silent.
-            Some(action) if action.requires_isolation() => {
-                return Err(CellError::Transient {
-                    message: format!(
-                        "injected fault at ({}, {label}) requires process isolation (--isolate)",
-                        spec.name
-                    ),
-                    attempts: attempt,
-                });
-            }
-            // Network faults exist only at the fleet transport; same
-            // visibility backstop.
-            Some(action) if action.requires_fleet() => {
-                return Err(CellError::Transient {
-                    message: format!(
-                        "injected fault at ({}, {label}) requires fleet dispatch (--fleet)",
-                        spec.name
-                    ),
-                    attempts: attempt,
-                });
-            }
-            _ => {}
-        }
-        let entry = self.trace(spec, trace_len);
-        if let Some(FaultAction::Slow(delay)) = action {
-            sleep_cancellable(delay, token);
-        }
-        if token.is_cancelled() {
-            return Err(CellError::Timeout { budget_ms });
-        }
-        match Simulator::new(config, &entry.trace).run_cancellable(token) {
-            Ok(stats) => Ok((entry, Arc::new(stats))),
-            Err(Cancelled) => Err(CellError::Timeout { budget_ms }),
-        }
-    }
-
-    /// One attempt at a cell in a supervised worker process: injected
-    /// faults are either realized supervisor-side (the purely logical
-    /// `transient`/`trace` kinds) or shipped to the worker to happen
-    /// inside the disposable process (`panic`/`slow`/`abort`/`hang`/
-    /// `bigalloc`). The wall-clock budget is enforced by the supervisor
-    /// with SIGKILL, so even a cell that never polls anything stops.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_cell_isolated(
-        &self,
-        supervisor: &Supervisor,
-        spec: &WorkloadSpec,
-        trace_len: usize,
-        label: &str,
-        config: &FrontendConfig,
-        plan: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-        attempt: u32,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
-        let budget_ms = retry
-            .cell_budget
-            .map_or(0, |b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX));
-        let action = plan.and_then(|p| p.fire(&spec.name, label));
-        let fault = match action {
-            Some(FaultAction::TraceDecode) => {
-                return Err(CellError::Transient {
-                    message: format!("injected fault: trace decode failed for {}", spec.name),
-                    attempts: attempt,
-                });
-            }
-            Some(FaultAction::Transient) => {
-                return Err(CellError::Transient {
-                    message: format!(
-                        "injected fault: transient failure at ({}, {label})",
-                        spec.name
-                    ),
-                    attempts: attempt,
-                });
-            }
-            Some(FaultAction::Panic) => Some(WorkerFault::Panic),
-            Some(FaultAction::Slow(delay)) => Some(WorkerFault::Slow(
-                u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
-            )),
-            Some(FaultAction::Abort) => Some(WorkerFault::Abort),
-            Some(FaultAction::Hang) => Some(WorkerFault::Hang),
-            Some(FaultAction::BigAlloc) => Some(WorkerFault::BigAlloc),
-            // Network faults have no local transport to act on; keep a
-            // smuggled plan visible instead of silently ignoring it.
-            Some(
-                FaultAction::NetDrop
-                | FaultAction::NetPartition
-                | FaultAction::NetSlowlink(_)
-                | FaultAction::NetTruncFrame,
-            ) => {
-                return Err(CellError::Transient {
-                    message: format!(
-                        "injected fault at ({}, {label}) requires fleet dispatch (--fleet)",
-                        spec.name
-                    ),
-                    attempts: attempt,
-                });
-            }
-            None => None,
-        };
-        let stats = supervisor.run_cell(spec, trace_len, budget_ms, fault, config, attempt)?;
-        // The worker generated its own copy; this one serves the
-        // RunResult's trace characterization and is usually a store hit
-        // thanks to run_matrix's pregeneration barrier.
-        let entry = self.trace(spec, trace_len);
-        Ok((entry, Arc::new(stats)))
-    }
-
-    /// One attempt at a cell on the fleet: logical faults are realized
-    /// here, worker faults ship to the remote node's disposable child,
-    /// and network faults are realized at the transport itself
-    /// ([`NetFault`]) — severed links, silent partitions, slow links, and
-    /// corrupt frames, each recovering through the same retry taxonomy a
-    /// genuine node loss would.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_cell_fleet(
-        &self,
-        fleet: &Fleet,
-        spec: &WorkloadSpec,
-        trace_len: usize,
-        label: &str,
-        config: &FrontendConfig,
-        plan: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-        attempt: u32,
-    ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
-        let budget_ms = retry
-            .cell_budget
-            .map_or(0, |b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX));
-        let action = plan.and_then(|p| p.fire(&spec.name, label));
-        let mut fault = None;
-        let mut net_fault = None;
-        match action {
-            Some(FaultAction::TraceDecode) => {
-                return Err(CellError::Transient {
-                    message: format!("injected fault: trace decode failed for {}", spec.name),
-                    attempts: attempt,
-                });
-            }
-            Some(FaultAction::Transient) => {
-                return Err(CellError::Transient {
-                    message: format!(
-                        "injected fault: transient failure at ({}, {label})",
-                        spec.name
-                    ),
-                    attempts: attempt,
-                });
-            }
-            Some(FaultAction::Panic) => fault = Some(WorkerFault::Panic),
-            Some(FaultAction::Slow(delay)) => {
-                fault = Some(WorkerFault::Slow(
-                    u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
-                ));
-            }
-            Some(FaultAction::Abort) => fault = Some(WorkerFault::Abort),
-            Some(FaultAction::Hang) => fault = Some(WorkerFault::Hang),
-            Some(FaultAction::BigAlloc) => fault = Some(WorkerFault::BigAlloc),
-            Some(FaultAction::NetDrop) => net_fault = Some(NetFault::Drop),
-            Some(FaultAction::NetPartition) => net_fault = Some(NetFault::Partition),
-            Some(FaultAction::NetSlowlink(delay)) => net_fault = Some(NetFault::Slowlink(delay)),
-            Some(FaultAction::NetTruncFrame) => net_fault = Some(NetFault::TruncFrame),
-            None => {}
-        }
-        let stats = fleet.run_cell(
-            spec, trace_len, budget_ms, fault, net_fault, config, attempt,
-        )?;
-        // The remote node generated its own trace; this request serves the
-        // RunResult's characterization from the local store.
-        let entry = self.trace(spec, trace_len);
-        Ok((entry, Arc::new(stats)))
     }
 
     /// The lockstep batch pass over one matrix: for each workload, claim
@@ -972,8 +726,8 @@ impl Harness {
     /// ineligible).
     ///
     /// Eligibility mirrors the solo path's extra machinery: a fault plan
-    /// (faults are per-cell attempts), process isolation (cells run in
-    /// disposable workers), or a cell wall-clock budget (cancellation is
+    /// (faults are per-cell attempts), an attached executor (cells run
+    /// out of process), or a cell wall-clock budget (cancellation is
     /// not plumbed through the lockstep loop) each suspend the pass, as
     /// does [`set_batching`](Self::set_batching)`(false)` or a
     /// single-config matrix (nothing to share).
@@ -989,8 +743,7 @@ impl Harness {
         if !self.batching_enabled()
             || configs.len() < 2
             || lock(&self.faults).is_some()
-            || lock(&self.isolation).is_some()
-            || lock(&self.fleet).is_some()
+            || lock(&self.executor).is_some()
             || self.retry_policy().cell_budget.is_some()
         {
             return out;
@@ -1095,25 +848,15 @@ impl Harness {
         let journal = lock(&self.journal).clone();
         for ((c, slot, fingerprint), stats) in claimed.into_iter().zip(batch_stats) {
             let stats = Arc::new(stats);
-            *lock(&slot.state) = CellState::Done(Arc::clone(&stats));
-            slot.done.notify_all();
-            self.cells_simulated.fetch_add(1, Ordering::Relaxed);
-            self.cells_batched.fetch_add(1, Ordering::Relaxed);
-            let record = JournalEntry {
-                workload: spec.name.clone(),
+            self.publish(
+                &slot,
+                journal.as_deref(),
+                spec,
                 trace_len,
-                config: fingerprint,
-                stats: (*stats).clone(),
-            };
-            if let Some(journal) = &journal {
-                if let Err(err) = journal.append(&record) {
-                    eprintln!(
-                        "warning: journal append to {} failed: {err}",
-                        journal.path().display()
-                    );
-                }
-            }
-            self.cache_store(&record);
+                fingerprint,
+                &stats,
+            );
+            self.cells_batched.fetch_add(1, Ordering::Relaxed);
             out[c] = Some(RunResult {
                 workload: spec.name.clone(),
                 config: configs[c].0.clone(),
@@ -1147,19 +890,11 @@ impl Harness {
         let threads = self
             .threads
             .unwrap_or_else(|| {
-                // Under isolation or fleet dispatch, one dispatching
-                // thread per worker seat saturates the pool; more would
-                // only queue on it.
-                if let Some(fleet) = lock(&self.fleet).as_deref() {
-                    fleet.workers()
-                } else {
-                    match lock(&self.isolation).as_deref() {
-                        Some(supervisor) => supervisor.workers(),
-                        None => std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(4),
-                    }
-                }
+                // Out of process, one dispatching thread per worker seat
+                // saturates the executor; more would only queue on it.
+                lock(&self.executor)
+                    .as_deref()
+                    .map_or_else(exec::local_parallelism, Executor::workers)
             })
             .min(total.max(1));
 
@@ -1250,60 +985,6 @@ impl Harness {
         cells.sort_by_key(|(slot, _)| *slot);
         debug_assert_eq!(cells.len(), total);
         MatrixResults::new(cells.into_iter().map(|(_, r)| r).collect())
-    }
-}
-
-thread_local! {
-    /// True while this thread is inside a harness cell attempt, where any
-    /// panic is caught and converted to a [`CellError`].
-    static IN_CELL_ATTEMPT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// `catch_unwind` without the default hook's backtrace spew: a panic that
-/// is about to become a typed [`CellError`] is an *expected* outcome, so
-/// printing a full backtrace per attempt (retries included) only buries
-/// real diagnostics. The process-wide hook is replaced once with a
-/// delegating wrapper; panics outside cell attempts still report exactly
-/// as before.
-fn quiet_catch_unwind<R>(body: AssertUnwindSafe<impl FnOnce() -> R>) -> std::thread::Result<R> {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if !IN_CELL_ATTEMPT.with(std::cell::Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-    IN_CELL_ATTEMPT.with(|flag| flag.set(true));
-    let outcome = panic::catch_unwind(body);
-    IN_CELL_ATTEMPT.with(|flag| flag.set(false));
-    outcome
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Sleeps up to `total`, in small slices so an expiring [`CancelToken`]
-/// cuts the wait short (used by the injected-slowness fault).
-fn sleep_cancellable(total: Duration, token: &CancelToken) {
-    const STEP: Duration = Duration::from_millis(5);
-    let mut remaining = total;
-    while !remaining.is_zero() {
-        if token.is_cancelled() {
-            return;
-        }
-        let chunk = remaining.min(STEP);
-        std::thread::sleep(chunk);
-        remaining -= chunk;
     }
 }
 
@@ -1402,6 +1083,7 @@ mod tests {
     use fdip::PrefetcherKind;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     const LEN: usize = 8_000;
 
@@ -1754,6 +1436,152 @@ mod tests {
         assert_eq!(st.cells_batched, 0, "{st:?}");
         assert_eq!(st.cell_retries, 1, "{st:?}");
         assert!(results.try_cell("client-1", "base").is_ok());
+    }
+
+    /// An executor that replays a fixed script of outcomes, one per
+    /// attempt — standing in for any transport, so the harness's retry,
+    /// counter, caching, and journal behaviour is pinned at the seam.
+    struct Scripted {
+        script: Mutex<Vec<Result<SimStats, CellError>>>,
+        attempts: Mutex<Vec<u32>>,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<Result<SimStats, CellError>>) -> Arc<Scripted> {
+            Arc::new(Scripted {
+                script: Mutex::new(script),
+                attempts: Mutex::new(Vec::new()),
+            })
+        }
+    }
+
+    impl Executor for Scripted {
+        fn reach(&self) -> Reach {
+            Reach::Fleet
+        }
+
+        fn run(
+            &self,
+            cell: &CellRun<'_>,
+            _fault: Option<crate::exec::Injected>,
+        ) -> Result<SimStats, CellError> {
+            lock(&self.attempts).push(cell.attempt);
+            lock(&self.script).remove(0)
+        }
+
+        fn workers(&self) -> usize {
+            1
+        }
+    }
+
+    fn canned() -> SimStats {
+        SimStats {
+            cycles: 77,
+            instructions: 99,
+            ..SimStats::default()
+        }
+    }
+
+    fn crashed(attempts: u32) -> CellError {
+        CellError::Crashed {
+            signal: Some(9),
+            code: None,
+            attempts,
+        }
+    }
+
+    #[test]
+    fn retries_through_any_executor_count_back_off_and_journal_once() {
+        let path = temp_journal("scripted");
+        let harness = Harness::new();
+        let script = Scripted::new(vec![
+            Err(crashed(1)),
+            Err(CellError::Transient {
+                message: "lost".to_string(),
+                attempts: 2,
+            }),
+            Ok(canned()),
+        ]);
+        harness.set_executor(script.clone());
+        harness.set_retry_policy(RetryPolicy {
+            max_attempts: 3,
+            backoff: Duration::from_millis(10),
+            cell_budget: None,
+        });
+        harness.attach_journal(&path).unwrap();
+        let workloads = &suite(SuiteKind::Client, Scale::quick())[..1];
+        let base = &configs()[..1];
+
+        let started = std::time::Instant::now();
+        let results = harness.run_matrix(workloads, LEN, base);
+        // Backoff before attempts 2 and 3 is at least 1x and 2x the base.
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        assert_eq!(results[0].stats, canned());
+        assert_eq!(*lock(&script.attempts), vec![1, 2, 3]);
+        let st = harness.stats();
+        assert_eq!(
+            (st.cells_simulated, st.cell_retries, st.cells_failed),
+            (1, 2, 0),
+            "{st:?}"
+        );
+        // The characterization comes from the local trace store.
+        assert!(results[0].trace_stats.len > 0);
+
+        // The success was cached: a rerun never reaches the executor.
+        harness.run_matrix(workloads, LEN, base);
+        assert_eq!(harness.stats().cell_hits, 1);
+        assert_eq!(lock(&script.attempts).len(), 3);
+        harness.detach_journal();
+        assert_eq!(journal::read_entries(&path).unwrap().entries.len(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn terminal_and_exhausted_failures_are_counted_never_cached_or_journaled() {
+        let path = temp_journal("scripted-fail");
+        let harness = Harness::new();
+        let script = Scripted::new(vec![
+            Err(CellError::Timeout { budget_ms: 5 }),
+            Err(crashed(1)),
+            Err(crashed(2)),
+            Ok(canned()),
+        ]);
+        harness.set_executor(script.clone());
+        harness.set_retry_policy(eager_retry(2));
+        harness.attach_journal(&path).unwrap();
+        let workloads = &suite(SuiteKind::Client, Scale::quick())[..1];
+        let base = &configs()[..1];
+
+        // A timeout is terminal: one attempt, no retry.
+        let first = harness.run_matrix(workloads, LEN, base);
+        assert_eq!(first[0].error, Some(CellError::Timeout { budget_ms: 5 }));
+        let st = harness.stats();
+        assert_eq!(
+            (st.cell_timeouts, st.cells_failed, st.cell_retries),
+            (1, 1, 0),
+            "{st:?}"
+        );
+
+        // Not cached: the next request computes again, and exhausts its
+        // two attempts on crashes.
+        let second = harness.run_matrix(workloads, LEN, base);
+        assert_eq!(second[0].error, Some(crashed(2)));
+        let st = harness.stats();
+        assert_eq!(
+            (st.cell_timeouts, st.cells_failed, st.cell_retries),
+            (1, 2, 1),
+            "{st:?}"
+        );
+        assert_eq!(*lock(&script.attempts), vec![1, 1, 2]);
+        assert!(journal::read_entries(&path).unwrap().entries.is_empty());
+
+        // Still not cached: the third request succeeds and is journaled.
+        let third = harness.run_matrix(workloads, LEN, base);
+        assert_eq!(third[0].stats, canned());
+        assert_eq!(harness.stats().cells_simulated, 1);
+        harness.detach_journal();
+        assert_eq!(journal::read_entries(&path).unwrap().entries.len(), 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -34,6 +34,7 @@ use fdip_btb::{BtbConfig, PartitionConfig, TagScheme};
 use fdip_mem::{CacheGeometry, HierarchyConfig, ReplacementPolicy, StreamBufferConfig};
 use fdip_types::{FromJson, Json, ToJson};
 
+use crate::fault::CellError;
 use crate::workload::{WorkloadSource, WorkloadSpec};
 
 /// Upper bound on one IPC frame. A run request (config + workload) is a
@@ -266,6 +267,33 @@ impl WorkerReply {
                     None => None,
                 },
             }),
+            _ => None,
+        }
+    }
+
+    /// What this reply means to the attempt waiting on cell `id`: `None`
+    /// for a heartbeat or a reply to a superseded id (a kill raced a
+    /// completion), else the attempt's outcome. This is the one place the
+    /// wire's `panic`/`crashed`/`transient` kinds become [`CellError`]s,
+    /// for the pipe and the TCP transport alike.
+    pub(crate) fn outcome(self, id: u64, attempts: u32) -> Option<Result<SimStats, CellError>> {
+        match self {
+            WorkerReply::Ok { id: rid, stats } if rid == id => Some(Ok(*stats)),
+            WorkerReply::Err {
+                id: rid,
+                kind,
+                message,
+                signal,
+                code,
+            } if rid == id => Some(Err(match kind.as_str() {
+                "panic" => CellError::Panic { message, attempts },
+                "crashed" => CellError::Crashed {
+                    signal,
+                    code,
+                    attempts,
+                },
+                _ => CellError::Transient { message, attempts },
+            })),
             _ => None,
         }
     }
@@ -849,5 +877,46 @@ mod tests {
             Some(WorkerReply::Heartbeat)
         );
         assert!(WorkerReply::from_json(&Json::obj([("op", Json::str("??"))])).is_none());
+    }
+
+    #[test]
+    fn reply_outcomes_decode_every_error_kind_and_drop_stale_ids() {
+        let err = |kind: &str| WorkerReply::Err {
+            id: 5,
+            kind: kind.to_string(),
+            message: "m".to_string(),
+            signal: Some(6),
+            code: None,
+        };
+        assert_eq!(WorkerReply::Heartbeat.outcome(5, 1), None);
+        let ok = WorkerReply::Ok {
+            id: 5,
+            stats: Box::default(),
+        };
+        assert_eq!(ok.clone().outcome(4, 1), None, "stale id");
+        assert_eq!(ok.outcome(5, 1), Some(Ok(SimStats::default())));
+        assert_eq!(
+            err("panic").outcome(5, 2),
+            Some(Err(CellError::Panic {
+                message: "m".to_string(),
+                attempts: 2
+            }))
+        );
+        assert_eq!(
+            err("crashed").outcome(5, 2),
+            Some(Err(CellError::Crashed {
+                signal: Some(6),
+                code: None,
+                attempts: 2
+            }))
+        );
+        assert_eq!(
+            err("transient").outcome(5, 2),
+            Some(Err(CellError::Transient {
+                message: "m".to_string(),
+                attempts: 2
+            }))
+        );
+        assert_eq!(err("panic").outcome(6, 2), None, "stale id");
     }
 }

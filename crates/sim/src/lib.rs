@@ -13,15 +13,20 @@
 //!   behind `exp_all --journal` resume;
 //! * [`persist`] — atomic (write-to-temp + fsync + rename) result
 //!   persistence, so killed runs never leave torn files;
+//! * `exec` — the one seam every cell attempt goes through: an
+//!   `Executor` trait with in-process, worker-pipe ([`supervisor`]) and
+//!   TCP ([`fleet`]) implementations, and the single place an injected
+//!   fault is realised;
 //! * [`supervisor`] / [`worker`] / [`ipc`] — process-isolated cell
 //!   execution: a supervised pool of self-exec'd worker processes with
 //!   heartbeats, hard SIGKILL preemption, and typed crash classification
-//!   (`--isolate`);
+//!   (`--isolate`); `child` owns the spawn/reap of those processes;
 //! * [`net`] / [`fleet`] — the distributed tier: hardened TCP framing
-//!   with a registration handshake, the `fdip workerd` daemon loop, the
-//!   fleet dispatcher (`--fleet`) that survives node loss by
-//!   re-dispatching through the same retry taxonomy, and the shared
-//!   on-disk content-addressed result cache (`--cache`);
+//!   with a registration handshake, the `fdip workerd` daemon loop, and
+//!   the fleet dispatcher (`--fleet`) that survives node loss by
+//!   re-dispatching through the same retry taxonomy;
+//! * [`cache`] — the shared on-disk content-addressed result cache
+//!   (`--cache`);
 //! * [`chaos`] — the seeded chaos soak behind `fdip chaos`: rounds of
 //!   real experiments against a live self-exec'd fleet under scheduled
 //!   kills, restarts, network faults, and cache corruption, gated on
@@ -48,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod chaos;
 pub mod experiments;
 pub mod fault;
@@ -63,6 +69,8 @@ pub mod supervisor;
 pub mod worker;
 pub mod workload;
 
+mod child;
+mod exec;
 mod scale;
 
 pub use scale::{Scale, ScaleArgError};

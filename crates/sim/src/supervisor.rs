@@ -32,19 +32,18 @@
 //! harness, so isolated runs keep the deterministic, thread-count-
 //! invariant output the seed tests pin.
 
-use std::io;
-use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use fdip::{FrontendConfig, SimStats};
+use fdip::SimStats;
 
+use crate::child::{self, Child, ChildEvent};
+use crate::exec::{CellRun, Executor, Injected, Reach};
 use crate::fault::CellError;
-use crate::harness::lock;
-use crate::ipc::{read_frame, write_frame, RunRequest, WorkerFault, WorkerReply};
-use crate::workload::WorkloadSpec;
+use crate::harness::{lock, HarnessStats};
+use crate::ipc::{RunRequest, WorkerFault, WorkerReply};
 
 /// Pool sizing and liveness policy for a [`Supervisor`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,44 +85,11 @@ pub fn default_worker_count() -> usize {
         .clamp(1, 4)
 }
 
-/// Counters the supervisor accumulates; folded into
-/// [`HarnessStats`](crate::harness::HarnessStats) and exported by
-/// `fdip-serve` `/metrics`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Workers respawned into a slot that had run a worker before
-    /// (crash replacement or post-recycle respawn).
-    pub worker_restarts: u64,
-    /// Workers SIGKILLed by the supervisor (budget preemption, lost
-    /// heartbeat, or a recycle that would not exit gracefully).
-    pub worker_kills: u64,
-    /// Times a crash-looping slot forced a backoff pause before respawn.
-    pub worker_crash_loops: u64,
-}
-
-/// What the stdout reader thread forwards to the dispatching thread.
-enum ReaderEvent {
-    /// A decoded protocol frame.
-    Reply(WorkerReply),
-    /// Clean EOF: the worker exited (or was killed).
-    Eof,
-    /// The stream broke mid-frame — treated like a crash. The error is
-    /// kept for debugging; classification uses the exit status instead.
-    Failed(#[allow(dead_code)] io::Error),
-}
-
-/// A live worker process attached to a pool slot.
-struct LiveWorker {
-    child: Child,
-    stdin: ChildStdin,
-    events: Receiver<ReaderEvent>,
-}
-
 /// One pool slot's bookkeeping; the mutex serializes the slot, not the
 /// pool — N cells run in N slots concurrently.
 #[derive(Default)]
 struct SlotState {
-    worker: Option<LiveWorker>,
+    worker: Option<Child>,
     cells_done: u64,
     consecutive_crashes: u32,
     ever_spawned: bool,
@@ -163,40 +129,6 @@ impl Supervisor {
         self.config.workers
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> SupervisorStats {
-        SupervisorStats {
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            worker_kills: self.worker_kills.load(Ordering::Relaxed),
-            worker_crash_loops: self.worker_crash_loops.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Runs one cell attempt on a pooled worker, blocking until a slot is
-    /// free. `budget_ms == 0` means unbounded; `attempt` is stamped into
-    /// any resulting [`CellError`] for the harness's retry accounting.
-    ///
-    /// # Errors
-    ///
-    /// Every worker death comes back typed: [`CellError::Timeout`] for a
-    /// budget kill, [`CellError::Crashed`] for signals/aborts/lost
-    /// heartbeats, [`CellError::Panic`] / [`CellError::Transient`] when
-    /// the worker survived and reported the failure itself.
-    pub fn run_cell(
-        &self,
-        workload: &WorkloadSpec,
-        trace_len: usize,
-        budget_ms: u64,
-        fault: Option<WorkerFault>,
-        config: &FrontendConfig,
-        attempt: u32,
-    ) -> Result<SimStats, CellError> {
-        let slot = self.acquire_slot();
-        let result = self.run_on_slot(slot, workload, trace_len, budget_ms, fault, config, attempt);
-        self.release_slot(slot);
-        result
-    }
-
     fn acquire_slot(&self) -> usize {
         let mut free = lock(&self.free);
         loop {
@@ -215,19 +147,25 @@ impl Supervisor {
         self.available.notify_one();
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one cell attempt on the worker in slot `index`. Every worker
+    /// death comes back typed: [`CellError::Timeout`] for a budget kill,
+    /// [`CellError::Crashed`] for signals/aborts/lost heartbeats,
+    /// [`CellError::Panic`] / [`CellError::Transient`] when the worker
+    /// survived and reported the failure itself.
     fn run_on_slot(
         &self,
         index: usize,
-        workload: &WorkloadSpec,
-        trace_len: usize,
-        budget_ms: u64,
+        cell: &CellRun<'_>,
         fault: Option<WorkerFault>,
-        config: &FrontendConfig,
-        attempt: u32,
     ) -> Result<SimStats, CellError> {
+        let (attempt, budget_ms) = (cell.attempt, cell.budget_ms());
         let mut slot = lock(&self.slots[index]);
-        self.drain_stale_events(&mut slot);
+        if slot.worker.as_ref().is_some_and(Child::drain_idle) {
+            // Died between cells: respawn instead of writing into a broken
+            // pipe. Dying idle still counts toward the crash loop.
+            let _ = slot.worker.take().expect("worker present").reap();
+            slot.consecutive_crashes += 1;
+        }
         if slot.worker.is_none() {
             if slot.consecutive_crashes >= self.config.crash_loop_threshold {
                 // Deterministic exponential pause: crash-looping degrades
@@ -237,7 +175,7 @@ impl Supervisor {
                 std::thread::sleep(self.config.crash_backoff * 2u32.pow(excess.min(4)));
             }
             let replacing = slot.ever_spawned;
-            match spawn_worker() {
+            match Child::spawn() {
                 Ok(worker) => {
                     slot.worker = Some(worker);
                     slot.ever_spawned = true;
@@ -258,20 +196,16 @@ impl Supervisor {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let request = RunRequest {
             id,
-            workload: workload.clone(),
-            trace_len,
+            workload: cell.spec.clone(),
+            trace_len: cell.trace_len,
             budget_ms,
             fault,
-            config: config.clone(),
+            config: cell.config.clone(),
         };
-        {
-            let worker = slot.worker.as_mut().expect("worker just ensured");
-            if write_frame(&mut worker.stdin, &request.to_json()).is_err() {
-                // Died between cells; classify from the exit status.
-                let status = reap(slot.worker.take().expect("worker present"));
-                slot.consecutive_crashes += 1;
-                return Err(crashed_from_status(status, attempt));
-            }
+        let worker = slot.worker.as_mut().expect("worker just ensured");
+        if worker.send(&request.to_json()).is_err() {
+            // Died between cells; classify from the exit status.
+            return Err(self.crashed(&mut slot, attempt));
         }
 
         let budget_deadline =
@@ -287,47 +221,27 @@ impl Supervisor {
                 .worker
                 .as_ref()
                 .expect("worker live while waiting")
-                .events
                 .recv_timeout(timeout);
             match event {
-                Ok(ReaderEvent::Reply(WorkerReply::Heartbeat)) => {
-                    heartbeat_deadline = Instant::now() + self.config.heartbeat_timeout;
-                }
-                Ok(ReaderEvent::Reply(WorkerReply::Ok {
-                    id: reply_id,
-                    stats,
-                })) if reply_id == id => {
-                    self.finish_cell(&mut slot);
-                    return Ok(*stats);
-                }
-                Ok(ReaderEvent::Reply(WorkerReply::Err {
-                    id: reply_id,
-                    kind,
-                    message,
-                    ..
-                })) if reply_id == id => {
-                    // The worker *survived* this failure; only its cell is
-                    // lost, and the process is reusable.
-                    self.finish_cell(&mut slot);
-                    return Err(if kind == "panic" {
-                        CellError::Panic {
-                            message,
-                            attempts: attempt,
+                Ok(ChildEvent::Frame(frame)) => match WorkerReply::from_json(&frame) {
+                    Some(WorkerReply::Heartbeat) => {
+                        heartbeat_deadline = Instant::now() + self.config.heartbeat_timeout;
+                    }
+                    // A reply for a superseded id — possible only after a
+                    // kill raced a completion — decodes to `None`.
+                    Some(reply) => {
+                        if let Some(outcome) = reply.outcome(id, attempt) {
+                            // The worker *survived* this cell, whatever its
+                            // outcome; the process is reusable.
+                            self.finish_cell(&mut slot);
+                            return outcome;
                         }
-                    } else {
-                        CellError::Transient {
-                            message,
-                            attempts: attempt,
-                        }
-                    });
-                }
-                // A reply for a superseded id — possible only after a kill
-                // raced a completion; drop it.
-                Ok(ReaderEvent::Reply(_)) => {}
-                Ok(ReaderEvent::Eof) | Ok(ReaderEvent::Failed(_)) => {
-                    let status = reap(slot.worker.take().expect("worker present"));
-                    slot.consecutive_crashes += 1;
-                    return Err(crashed_from_status(status, attempt));
+                    }
+                    // Unintelligible frame: treated like a crash.
+                    None => return Err(self.crashed(&mut slot, attempt)),
+                },
+                Ok(ChildEvent::Eof | ChildEvent::Failed) | Err(RecvTimeoutError::Disconnected) => {
+                    return Err(self.crashed(&mut slot, attempt));
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     let now = Instant::now();
@@ -347,13 +261,15 @@ impl Supervisor {
                         });
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let status = reap(slot.worker.take().expect("worker present"));
-                    slot.consecutive_crashes += 1;
-                    return Err(crashed_from_status(status, attempt));
-                }
             }
         }
+    }
+
+    /// Reaps the slot's dead worker and classifies its exit status.
+    fn crashed(&self, slot: &mut SlotState, attempt: u32) -> CellError {
+        let status = slot.worker.take().expect("worker present").reap();
+        slot.consecutive_crashes += 1;
+        child::crashed(&status, attempt)
     }
 
     /// Books a completed cell on the slot and retires the worker if it
@@ -364,61 +280,44 @@ impl Supervisor {
         if slot.cells_done >= self.config.recycle_after {
             slot.cells_done = 0;
             if let Some(worker) = slot.worker.take() {
-                self.retire_worker(worker);
+                if worker.retire() {
+                    self.worker_kills.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
-    }
-
-    /// Graceful retirement: close stdin (EOF ends the worker loop), give
-    /// it a moment, escalate to SIGKILL if it will not leave.
-    fn retire_worker(&self, worker: LiveWorker) {
-        let LiveWorker {
-            mut child, stdin, ..
-        } = worker;
-        drop(stdin);
-        for _ in 0..50 {
-            match child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                Err(_) => break,
-            }
-        }
-        self.worker_kills.fetch_add(1, Ordering::Relaxed);
-        let _ = child.kill();
-        let _ = child.wait();
     }
 
     /// SIGKILL and reap, counting the kill.
-    fn kill_worker(&self, worker: LiveWorker) {
+    fn kill_worker(&self, worker: Child) {
         self.worker_kills.fetch_add(1, Ordering::Relaxed);
-        let mut child = worker.child;
-        let _ = child.kill();
-        let _ = child.wait();
+        worker.kill();
+    }
+}
+
+impl Executor for Supervisor {
+    fn reach(&self) -> Reach {
+        Reach::Process
     }
 
-    /// Discards events buffered while the slot sat idle (a final
-    /// heartbeat that raced the previous reply, or the EOF of a worker
-    /// that died between cells — the latter marks the slot dead so
-    /// dispatch respawns instead of writing into a broken pipe).
-    fn drain_stale_events(&self, slot: &mut SlotState) {
-        let dead = match &slot.worker {
-            Some(worker) => {
-                let mut dead = false;
-                while let Ok(event) = worker.events.try_recv() {
-                    if matches!(event, ReaderEvent::Eof | ReaderEvent::Failed(_)) {
-                        dead = true;
-                    }
-                }
-                dead
-            }
-            None => false,
+    fn run(&self, cell: &CellRun<'_>, fault: Option<Injected>) -> Result<SimStats, CellError> {
+        let fault = match fault {
+            Some(Injected::Worker(fault)) => Some(fault),
+            _ => None,
         };
-        if dead {
-            let status = reap(slot.worker.take().expect("worker present"));
-            // Dying between cells still counts toward the crash loop.
-            slot.consecutive_crashes += 1;
-            let _ = status;
-        }
+        let slot = self.acquire_slot();
+        let result = self.run_on_slot(slot, cell, fault);
+        self.release_slot(slot);
+        result
+    }
+
+    fn workers(&self) -> usize {
+        self.config.workers
+    }
+
+    fn fold_stats(&self, stats: &mut HarnessStats) {
+        stats.worker_restarts = self.worker_restarts.load(Ordering::Relaxed);
+        stats.worker_kills = self.worker_kills.load(Ordering::Relaxed);
+        stats.worker_crash_loops = self.worker_crash_loops.load(Ordering::Relaxed);
     }
 }
 
@@ -427,90 +326,10 @@ impl Drop for Supervisor {
         for slot in &self.slots {
             if let Some(worker) = lock(slot).worker.take() {
                 // Shutdown is not a drill: kill without ceremony or stats.
-                let mut child = worker.child;
-                let _ = child.kill();
-                let _ = child.wait();
+                worker.kill();
             }
         }
     }
-}
-
-/// Self-execs the current binary as a worker. The `worker` argument is
-/// cosmetic (it names the process in `ps`); activation is the
-/// environment variable, which works for every harness binary without
-/// touching its argv parsing.
-fn spawn_worker() -> io::Result<LiveWorker> {
-    let exe = std::env::current_exe()?;
-    let mut child = Command::new(exe)
-        .arg("worker")
-        .env(crate::worker::WORKER_ENV, "1")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()?;
-    let stdin = child.stdin.take().expect("stdin was piped");
-    let mut stdout = child.stdout.take().expect("stdout was piped");
-    let (sender, events) = mpsc::channel();
-    // Plain pipes have no read timeout, so a dedicated thread blocks on
-    // the pipe and the dispatcher waits on the channel, which does. The
-    // thread exits with the pipe and is never joined.
-    std::thread::spawn(move || loop {
-        let event = match read_frame(&mut stdout) {
-            Ok(Some(frame)) => match WorkerReply::from_json(&frame) {
-                Some(reply) => ReaderEvent::Reply(reply),
-                None => ReaderEvent::Failed(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unintelligible worker frame",
-                )),
-            },
-            Ok(None) => ReaderEvent::Eof,
-            Err(err) => ReaderEvent::Failed(err),
-        };
-        let terminal = !matches!(event, ReaderEvent::Reply(_));
-        if sender.send(event).is_err() || terminal {
-            return;
-        }
-    });
-    Ok(LiveWorker {
-        child,
-        stdin,
-        events,
-    })
-}
-
-/// Reaps a worker that is already gone (or nearly): SIGKILL is a no-op on
-/// a zombie and does not change its recorded exit status, so this is safe
-/// to call in every death path.
-fn reap(worker: LiveWorker) -> io::Result<ExitStatus> {
-    let mut child = worker.child;
-    let _ = child.kill();
-    child.wait()
-}
-
-/// Classifies an exit status into [`CellError::Crashed`].
-fn crashed_from_status(status: io::Result<ExitStatus>, attempts: u32) -> CellError {
-    match status {
-        Ok(status) => CellError::Crashed {
-            signal: exit_signal(&status),
-            code: status.code(),
-            attempts,
-        },
-        Err(_) => CellError::Crashed {
-            signal: None,
-            code: None,
-            attempts,
-        },
-    }
-}
-
-#[cfg(unix)]
-fn exit_signal(status: &ExitStatus) -> Option<i32> {
-    std::os::unix::process::ExitStatusExt::signal(status)
-}
-
-#[cfg(not(unix))]
-fn exit_signal(_status: &ExitStatus) -> Option<i32> {
-    None
 }
 
 #[cfg(test)]
@@ -535,7 +354,9 @@ mod tests {
             ..config
         });
         assert_eq!(sup.workers(), 1, "zero workers clamps to one");
-        assert_eq!(sup.stats(), SupervisorStats::default());
+        let mut stats = HarnessStats::default();
+        sup.fold_stats(&mut stats);
+        assert_eq!(stats, HarnessStats::default());
     }
 
     #[test]
@@ -552,31 +373,5 @@ mod tests {
         assert_eq!(handed, [0, 1, 2]);
         sup.release_slot(b);
         assert_eq!(sup.acquire_slot(), b);
-    }
-
-    #[test]
-    fn crash_classification_covers_signal_code_and_unknown() {
-        let err = crashed_from_status(Err(io::Error::other("status lost")), 2);
-        assert_eq!(
-            err,
-            CellError::Crashed {
-                signal: None,
-                code: None,
-                attempts: 2
-            }
-        );
-        // A real exit status from a real (instantly exiting) process.
-        let status = Command::new("false").status();
-        if let Ok(status) = status {
-            let err = crashed_from_status(Ok(status), 1);
-            assert_eq!(
-                err,
-                CellError::Crashed {
-                    signal: None,
-                    code: Some(1),
-                    attempts: 1
-                }
-            );
-        }
     }
 }

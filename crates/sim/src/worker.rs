@@ -29,10 +29,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use fdip::{CancelToken, Simulator};
+use fdip::CancelToken;
 use fdip_trace::Trace;
 
-use crate::ipc::{read_frame, write_frame, RunRequest, WorkerFault, WorkerReply};
+use crate::exec::{panic_message, simulate_with_fault};
+use crate::ipc::{read_frame, write_frame, RunRequest, WorkerReply};
 
 /// Environment variable that turns an invocation of a harness binary into
 /// a single-purpose cell worker (any non-empty value).
@@ -148,40 +149,24 @@ pub fn worker_main() -> i32 {
     }
 }
 
-/// Simulates one requested cell, realizing any injected fault on the way.
+/// Simulates one requested cell, realizing any injected fault on the way
+/// (the crash kinds exist to prove the supervisor contains exactly them).
 fn run_one(request: &RunRequest, traces: &mut HashMap<(String, usize), Trace>) -> WorkerReply {
-    match request.fault {
-        // The crash-class faults never return: they exist to prove the
-        // supervisor contains exactly this.
-        Some(WorkerFault::Abort) => std::process::abort(),
-        Some(WorkerFault::Hang) => loop {
-            // A runaway loop that never polls CancelToken — only the
-            // supervisor's hard wall-clock kill can end it.
-            std::hint::spin_loop();
-        },
-        Some(WorkerFault::BigAlloc) => {
-            // An impossible single allocation: the layout is valid (under
-            // isize::MAX) but no address space backs it, so the allocator
-            // reports failure and `handle_alloc_error` aborts — the
-            // non-unwinding OOM shape `catch_unwind` cannot contain.
-            let doomed: Vec<u8> = Vec::with_capacity(isize::MAX as usize / 2);
-            std::hint::black_box(doomed.capacity());
-            unreachable!("allocation of half the address space succeeded");
-        }
-        Some(WorkerFault::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(WorkerFault::Panic) | None => {}
-    }
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        if request.fault == Some(WorkerFault::Panic) {
-            panic!("injected fault: panic at ({})", request.workload.name);
-        }
-        let trace = traces
-            .entry((request.workload.name.clone(), request.trace_len))
-            .or_insert_with(|| request.workload.generate(request.trace_len));
         // The budget is enforced by the supervisor's SIGKILL, not
         // cooperatively: a fresh token keeps the simulation path identical
         // to the in-process one without ever cancelling.
-        Simulator::new(&request.config, trace).run_cancellable(&CancelToken::new())
+        simulate_with_fault(
+            request.fault.as_ref(),
+            format_args!("{}", request.workload.name),
+            &CancelToken::new(),
+            &request.config,
+            move || {
+                traces
+                    .entry((request.workload.name.clone(), request.trace_len))
+                    .or_insert_with(|| request.workload.generate(request.trace_len))
+            },
+        )
     }));
     match outcome {
         Ok(Ok(stats)) => WorkerReply::Ok {
@@ -198,7 +183,7 @@ fn run_one(request: &RunRequest, traces: &mut HashMap<(String, usize), Trace>) -
         Err(payload) => WorkerReply::Err {
             id: request.id,
             kind: "panic".to_string(),
-            message: crate::harness::panic_message(payload.as_ref()),
+            message: panic_message(payload.as_ref()),
             signal: None,
             code: None,
         },

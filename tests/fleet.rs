@@ -127,7 +127,10 @@ impl Workerd {
 
     /// Whether the daemon has printed `needle` yet.
     fn printed(&self, needle: &str) -> bool {
-        self.captured.lock().expect("capture poisoned").contains(needle)
+        self.captured
+            .lock()
+            .expect("capture poisoned")
+            .contains(needle)
     }
 
     fn sigkill(&mut self) {
@@ -411,23 +414,7 @@ fn fleet_tuning_flags_validate_before_dialing_and_disabled_hedging_is_inert() {
     assert!(err.contains("--fleet-heartbeat-ms"), "{err}");
     assert!(!err.contains("unreachable at startup"), "{err}");
 
-    let bad_hedge = run(&[
-        "exp",
-        "e01",
-        "--quick",
-        "--isolate=2",
-        "--fleet",
-        "127.0.0.1:1",
-        "--hedge-after-ms",
-        "soon",
-    ]);
-    assert!(!bad_hedge.status.success());
-    let err = stderr(&bad_hedge);
-    assert!(err.contains("--hedge-after-ms"), "{err}");
-    assert!(!err.contains("unreachable at startup"), "{err}");
-
-    // With hedging explicitly off, a real fleet run books zero hedges and
-    // stays byte-identical: the feature is provably inert when disabled.
+    // A valid heartbeat override on a real fleet run stays byte-identical.
     let w = Workerd::spawn(2);
     let out = run(&[
         "exp",
@@ -438,13 +425,14 @@ fn fleet_tuning_flags_validate_before_dialing_and_disabled_hedging_is_inert() {
         &w.addr,
         "--fleet-heartbeat-ms",
         "700",
-        "--hedge-after-ms",
-        "0",
     ]);
     let err = stderr(&out);
     assert!(out.status.success(), "{err}");
-    assert_eq!(baseline(), stdout(&out), "inert hedging must not change results");
-    assert!(err.contains("0 hedged (0 won)"), "{err}");
+    assert_eq!(
+        baseline(),
+        stdout(&out),
+        "fleet tuning must not change results"
+    );
 }
 
 /// Randomized network-fault drills: any single injected fleet fault —
