@@ -23,9 +23,11 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fdip_serve::{ServeConfig, Server, ShutdownHandle};
+use fdip_sim::fault::FaultPlan;
 use fdip_types::Json;
 
 /// The committed warm throughput of the blocking thread-per-connection
@@ -242,27 +244,28 @@ fn metric_value(text: &str, line_prefix: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {line_prefix:?} missing from scrape"))
 }
 
-/// Installs a deterministic slow-cell fault for `seed` so a phase can
-/// hold a compute seat for an exact duration regardless of host speed.
-fn hold_seat_with_fault(seed: u64, millis: u64) {
-    let plan = fdip_sim::fault::FaultPlan::parse(&format!("slow@microloop~s{seed}/run:{millis}"))
-        .expect("fault plan");
-    fdip_sim::harness::Harness::global().set_fault_plan(Some(plan));
+/// A deterministic slow-cell fault for `seed`, so a phase can hold a
+/// compute seat for an exact duration regardless of host speed. Each
+/// server gets its own plan.
+fn seat_holder(seed: u64, millis: u64) -> Option<Arc<FaultPlan>> {
+    let plan =
+        FaultPlan::parse(&format!("slow@microloop~s{seed}/run:{millis}")).expect("fault plan");
+    Some(Arc::new(plan))
 }
 
-fn clear_fault() {
-    fdip_sim::harness::Harness::global().set_fault_plan(None);
-}
+/// The coalesce phase's seed, slowed on the first server.
+const COALESCE_SEED: u64 = 9_100;
+/// The saturation phase's seat-holding seed, slowed on the tight server.
+const HOLDER_SEED: u64 = 9_000;
 
 /// Coalescing: `burst` byte-identical cold requests in flight at once.
-/// The leader's cell is slowed so every follower arrives while it runs;
-/// all must answer 200 with identical bodies. Returns the number the
-/// server reports as coalesced.
+/// The leader's cell is slowed (by the server's fault plan) so every
+/// follower arrives while it runs; all must answer 200 with identical
+/// bodies. Returns the number the server reports as coalesced.
 fn coalesce_phase(addr: SocketAddr, burst: usize, seed: u64, trace_len: usize) -> u64 {
     let (status, scrape) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let before = metric_value(&scrape, "fdip_serve_coalesced_total ");
-    hold_seat_with_fault(seed, 800);
     let clients: Vec<_> = (0..burst)
         .map(|_| {
             let body = run_body(seed, trace_len);
@@ -275,7 +278,6 @@ fn coalesce_phase(addr: SocketAddr, burst: usize, seed: u64, trace_len: usize) -
         assert_eq!(status, 200, "coalesce: {body}");
         bodies.push(body);
     }
-    clear_fault();
     assert!(
         bodies.windows(2).all(|w| w[0] == w[1]),
         "coalesced responses diverged"
@@ -285,10 +287,11 @@ fn coalesce_phase(addr: SocketAddr, burst: usize, seed: u64, trace_len: usize) -
     metric_value(&scrape, "fdip_serve_coalesced_total ") - before
 }
 
-/// Saturation: a deterministically slow cell holds the single compute
-/// seat, then `burst` *distinct* pre-warmed requests arrive at once. The
-/// depth-2 queue absorbs 2; the rest are shed 503 — and those sheds must
-/// come back immediately, not serialized behind the seat.
+/// Saturation: a deterministically slow cell (the server's fault plan
+/// slows [`HOLDER_SEED`]) holds the single compute seat, then `burst`
+/// *distinct* pre-warmed requests arrive at once. The depth-2 queue
+/// absorbs 2; the rest are shed 503 — and those sheds must come back
+/// immediately, not serialized behind the seat.
 ///
 /// Returns (completed_200, shed, shed latencies).
 fn saturation_phase(
@@ -296,9 +299,8 @@ fn saturation_phase(
     burst: usize,
     trace_len: usize,
 ) -> (usize, usize, Vec<Duration>) {
-    hold_seat_with_fault(9_000, 2_000);
     let holder = {
-        let body = run_body(9_000, trace_len);
+        let body = run_body(HOLDER_SEED, trace_len);
         std::thread::spawn(move || request(addr, "POST", "/v1/run", &body))
     };
     std::thread::sleep(Duration::from_millis(300)); // the seat is now held
@@ -332,7 +334,6 @@ fn saturation_phase(
     }
     let (status, body) = holder.join().expect("holder thread panicked");
     assert_eq!(status, 200, "seat holder: {body}");
-    clear_fault();
     shed_latencies.sort();
     (completed, shed, shed_latencies)
 }
@@ -357,6 +358,7 @@ fn main() {
         addr: "127.0.0.1:0".to_string(),
         threads: 4,
         timeout_ms: 120_000,
+        faults: seat_holder(COALESCE_SEED, 800),
         ..ServeConfig::default()
     });
     eprintln!(
@@ -383,7 +385,7 @@ fn main() {
     );
 
     let coalesce_burst = burst;
-    let coalesced = coalesce_phase(server.addr, coalesce_burst, 9_100, trace_len);
+    let coalesced = coalesce_phase(server.addr, coalesce_burst, COALESCE_SEED, trace_len);
     eprintln!(
         "[loadgen] coalesce: {coalesce_burst} identical requests, {coalesced} rode along on 1 simulation"
     );
@@ -422,10 +424,11 @@ fn main() {
         threads: 1,
         queue_depth: 2,
         timeout_ms: 60_000,
+        faults: seat_holder(HOLDER_SEED, 2_000),
         ..ServeConfig::default()
     });
-    // Pre-warm every burst seed (the process-global cell cache is shared,
-    // so seeds 0..n are already hot from the cold phase).
+    // Pre-warm every burst seed: the tight server has its own cell cache,
+    // so this simulates each seed once.
     for seed in 0..burst as u64 {
         let (status, _) = request(tight.addr, "POST", "/v1/run", &run_body(seed, trace_len));
         assert_eq!(status, 200);

@@ -161,8 +161,8 @@ pub fn dispatch(argv: &[String]) -> CliResult {
     let Some((command, rest)) = argv.split_first() else {
         return Err(unknown_command_error("no command given"));
     };
-    // `exp` takes the bare `--quick`/`--medium`/`--full` scale flags, which
-    // the `--key value` parser would misread; it strips them itself.
+    // `exp` takes bare flags (`--quick`, `--isolate[=N]`, ...), which the
+    // `--key value` parser would misread; `RunOptions::from_args` parses it.
     if command == "exp" {
         return cmd_exp(rest);
     }
@@ -539,23 +539,6 @@ fn cmd_tables(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Parses `--fleet-heartbeat-ms`, shared by `exp` and `serve` (positive
-/// milliseconds; overrides the `$FDIP_FLEET_HEARTBEAT_MS` fallback). It
-/// is validated here, before any connection is dialed.
-fn fleet_heartbeat(args: &Args) -> Result<Option<u64>, Box<dyn Error>> {
-    match args.get("fleet-heartbeat-ms") {
-        None => Ok(None),
-        Some(raw) => Ok(Some(
-            raw.parse::<u64>()
-                .ok()
-                .filter(|&ms| ms > 0)
-                .ok_or_else(|| {
-                    format!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)")
-                })?,
-        )),
-    }
-}
-
 fn cmd_chaos(args: &Args) -> CliResult {
     use fdip_sim::chaos::{run_chaos, ChaosConfig};
     let defaults = ChaosConfig::default();
@@ -603,197 +586,35 @@ fn cmd_chaos(args: &Args) -> CliResult {
 
 fn cmd_exp(raw: &[String]) -> CliResult {
     use fdip_sim::experiments;
-    use fdip_sim::fault::{FaultPlan, RetryPolicy};
     use fdip_sim::harness::Harness;
-    use fdip_sim::supervisor::{self, SupervisorConfig};
-    use fdip_sim::Scale;
-    use std::time::Duration;
+    use fdip_sim::options::{RunArgs, RunOptions};
 
-    // `exp` has its own flag vocabulary (--journal, --faults, …), so only
-    // the scale flags are delegated; typos are still caught below by
-    // `args.reject_unknown()`. `--isolate[=N]` is likewise valueless (or
-    // `=`-joined), which the `--key value` parser would misread, so it is
-    // stripped here too.
-    let mut isolate: Option<usize> = None;
-    let mut batch: Option<bool> = None;
-    let mut scale_and_rest: Vec<String> = Vec::with_capacity(raw.len());
-    for a in raw {
-        if a == "--isolate" {
-            isolate = Some(supervisor::default_worker_count());
-        } else if let Some(n) = a.strip_prefix("--isolate=") {
-            let workers = n
-                .parse::<usize>()
-                .ok()
-                .filter(|&w| w > 0)
-                .ok_or_else(|| format!("bad --isolate={n:?} (want a positive worker count)"))?;
-            isolate = Some(workers);
-        } else if a == "--batch" {
-            batch = Some(true);
-        } else if let Some(v) = a.strip_prefix("--batch=") {
-            batch = Some(match v {
-                "on" => true,
-                "off" => false,
-                _ => {
-                    return Err(format!(
-                        "unrecognized --batch value {v:?} \
-                         (accepted forms: --batch, --batch=on, --batch=off)"
-                    )
-                    .into())
-                }
-            });
-        } else {
-            scale_and_rest.push(a.clone());
-        }
-    }
-    let scale = Scale::from_args(
-        scale_and_rest
-            .iter()
-            .filter(|a| matches!(a.as_str(), "--quick" | "--medium" | "--full"))
-            .cloned(),
-    )
-    .expect("scale flags were pre-filtered");
-    let rest: Vec<String> = scale_and_rest
-        .iter()
-        .filter(|a| !matches!(a.as_str(), "--quick" | "--medium" | "--full"))
-        .cloned()
-        .collect();
-    let args = Args::parse(&rest)?;
-
-    let plan = match args.get("faults") {
-        Some(spec) => Some(FaultPlan::parse(spec)?),
-        None => FaultPlan::from_env()?,
-    };
-    let journal = args.get("journal").map(std::path::PathBuf::from);
-    let fleet_addrs = args.get("fleet").map(str::to_string);
-    // Validated up front, before anything dials: a zero or garbage value
-    // is a flag error, never a half-configured fleet.
-    let fleet_heartbeat_ms = fleet_heartbeat(&args)?;
-    let cache_dir = args.get("cache").map(std::path::PathBuf::from);
-    let defaults = RetryPolicy::default();
-    let max_attempts = args.get_or("max-attempts", defaults.max_attempts, "a retry count")?;
-    let budget_ms = args.get_or("cell-budget-ms", 0u64, "milliseconds (0 = no budget)")?;
-    let ids = args.positional().to_vec();
-    if ids.len() > 1 {
+    let RunArgs {
+        options,
+        scale,
+        positional,
+    } = RunOptions::from_args(raw.iter().cloned())?;
+    if positional.len() > 1 {
         return Err("exp takes at most one experiment id (or \"all\")".into());
     }
-    args.reject_unknown()?;
+    let selected: Vec<&'static dyn experiments::Experiment> =
+        match positional.first().map(String::as_str) {
+            None | Some("all") => experiments::all(),
+            Some(id) => {
+                let exp = experiments::find(id).ok_or_else(|| {
+                    let ids: Vec<&str> = experiments::all().iter().map(|e| e.id()).collect();
+                    format!(
+                        "unknown experiment {id:?} (one of: {}, all)",
+                        ids.join(", ")
+                    )
+                })?;
+                vec![exp]
+            }
+        };
 
-    let selected: Vec<&'static dyn experiments::Experiment> = match ids.first().map(String::as_str)
-    {
-        None | Some("all") => experiments::all(),
-        Some(id) => {
-            let exp = experiments::find(id).ok_or_else(|| {
-                let ids: Vec<&str> = experiments::all().iter().map(|e| e.id()).collect();
-                format!(
-                    "unknown experiment {id:?} (one of: {}, all)",
-                    ids.join(", ")
-                )
-            })?;
-            vec![exp]
-        }
-    };
-
-    let harness = Harness::global();
-    harness.set_retry_policy(RetryPolicy {
-        max_attempts,
-        cell_budget: (budget_ms > 0).then(|| Duration::from_millis(budget_ms)),
-        ..defaults
-    });
-    if let Some(on) = batch {
-        harness.set_batching(on);
-    }
-    if let Some(addrs) = &fleet_addrs {
-        // Fleet dispatch is the distributed form of process isolation;
-        // requiring the flag keeps "cells leave this process" explicit.
-        if isolate.is_none() {
-            return Err("--fleet requires --isolate (cells run in remote worker daemons)".into());
-        }
-        let list: Vec<String> = addrs
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if list.is_empty() {
-            return Err("--fleet needs at least one HOST:PORT address".into());
-        }
-        let mut fleet_config = fdip_sim::fleet::FleetConfig::new(list);
-        if let Some(ms) = fleet_heartbeat_ms {
-            fleet_config.heartbeat_timeout = Duration::from_millis(ms);
-        }
-        let fleet = harness
-            .enable_fleet(fleet_config)
-            .map_err(|e| format!("fleet: {e}"))?;
-        let nodes = fleet.nodes();
-        eprintln!(
-            "fleet: {} node(s), {} worker seat(s): {}",
-            nodes.len(),
-            fleet.workers(),
-            nodes
-                .iter()
-                .map(|(addr, seats)| format!("{addr} x{seats}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-    } else if let Some(workers) = isolate {
-        let supervisor = harness.enable_isolation(SupervisorConfig {
-            workers,
-            ..SupervisorConfig::default()
-        });
-        eprintln!(
-            "isolation: {} worker process(es), cell budget {}",
-            supervisor.workers(),
-            if budget_ms > 0 {
-                format!("{budget_ms}ms (hard SIGKILL)")
-            } else {
-                "unbounded".to_string()
-            },
-        );
-    }
-    if let Some(dir) = &cache_dir {
-        let summary = harness
-            .attach_cache(dir)
-            .map_err(|e| format!("cache {}: {e}", dir.display()))?;
-        eprintln!(
-            "cell cache {}: {} entr{} restored, {} corrupt",
-            dir.display(),
-            summary.entries,
-            if summary.entries == 1 { "y" } else { "ies" },
-            summary.corrupt,
-        );
-    }
-    if let Some(plan) = &plan {
-        if plan.requires_isolation() && isolate.is_none() {
-            return Err(
-                "fault plan injects abort/hang/bigalloc faults, which take the whole \
-                 process down; rerun with --isolate[=N] to contain them in worker processes"
-                    .into(),
-            );
-        }
-        if plan.requires_fleet() && fleet_addrs.is_none() {
-            return Err(
-                "fault plan injects drop/partition/slowlink/truncframe network faults, \
-                 which exist only at the fleet transport; rerun with --fleet ADDR,... \
-                 (plus --isolate)"
-                    .into(),
-            );
-        }
-        eprintln!(
-            "fault plan: {} site(s), seed {}",
-            plan.site_count(),
-            plan.seed()
-        );
-    }
-    harness.set_fault_plan(plan);
-    if let Some(path) = &journal {
-        let summary = harness
-            .attach_journal(path)
-            .map_err(|e| format!("journal {}: {e}", path.display()))?;
-        eprintln!(
-            "journal: restored {} cell(s), skipped {} line(s), {} corrupt",
-            summary.restored, summary.skipped, summary.corrupt
-        );
-    }
-
+    let opened = Harness::open(options)?;
+    eprint!("{}", opened.startup_lines());
+    let harness = &opened.harness;
     let start = std::time::Instant::now();
     for exp in selected {
         let id = exp.id();
@@ -803,42 +624,11 @@ fn cmd_exp(raw: &[String]) -> CliResult {
         print!("{}", result.to_text());
         eprintln!("[{id}] {:.1}s", t.elapsed().as_secs_f64());
     }
-    let stats = harness.stats();
-    eprintln!(
-        "harness: {} traces generated ({} shared), {} cells simulated \
-         ({} hits, {} restored from journal), {} retries, {} timeouts, {} failed",
-        stats.traces_generated,
-        stats.traces_shared,
-        stats.cells_simulated,
-        stats.cell_hits,
-        stats.journal_restored,
-        stats.cell_retries,
-        stats.cell_timeouts,
-        stats.cells_failed,
-    );
-    if harness.isolation_enabled() {
-        eprintln!(
-            "isolation: {} worker restart(s), {} kill(s), {} crash-loop pause(s)",
-            stats.worker_restarts, stats.worker_kills, stats.worker_crash_loops,
-        );
-    }
-    if harness.fleet_enabled() {
-        eprintln!(
-            "fleet: {} worker seat(s), {} node loss(es), {} cell(s) re-dispatched, \
-             {} remote cache hit(s), {} readmission(s)",
-            stats.fleet_workers,
-            stats.node_losses,
-            stats.cells_redispatched,
-            stats.remote_cache_hits,
-            stats.node_readmissions,
-        );
-    }
+    eprint!("{}", harness.summary());
     eprintln!("total {:.1}s", start.elapsed().as_secs_f64());
-    if stats.cells_failed > 0 {
-        eprintln!(
-            "warning: {} cell(s) FAILED; affected rows are marked in the tables above",
-            stats.cells_failed
-        );
+    let failed = harness.stats().cells_failed;
+    if failed > 0 {
+        eprintln!("warning: {failed} cell(s) FAILED; affected rows are marked in the tables above");
     }
     Ok(())
 }
@@ -846,7 +636,11 @@ fn cmd_exp(raw: &[String]) -> CliResult {
 fn cmd_serve(args: &Args) -> CliResult {
     use fdip_serve::{ServeConfig, Server};
     let defaults = ServeConfig::default();
-    let fleet_heartbeat_ms = fleet_heartbeat(args)?;
+    // Validated here, before any connection is dialed.
+    let fleet_heartbeat_ms = args
+        .get("fleet-heartbeat-ms")
+        .map(fdip_sim::options::parse_heartbeat_ms)
+        .transpose()?;
     let config = ServeConfig {
         addr: args.get("addr").unwrap_or(&defaults.addr).to_string(),
         threads: args.get_or("threads", defaults.threads, "a worker count (0 = auto)")?,
@@ -876,6 +670,10 @@ fn cmd_serve(args: &Args) -> CliResult {
         fleet: args.get("fleet").map(str::to_string),
         fleet_heartbeat_ms,
         cache_dir: None,
+        // Honor $FDIP_FAULTS so fault drills work against the live
+        // service: matching cells fail into structured 502s instead of
+        // panicking a worker (see DESIGN.md §6.5).
+        faults: fdip_sim::fault::FaultPlan::from_env()?.map(std::sync::Arc::new),
     };
     // The serve-side cell cache is on by default (warm restarts); opt out
     // with `--cache none`.
@@ -890,33 +688,7 @@ fn cmd_serve(args: &Args) -> CliResult {
     args.expect_positional(0, "serve takes no positional arguments")?;
     args.reject_unknown()?;
 
-    // Honor $FDIP_FAULTS so fault drills work against the live service:
-    // matching cells fail into structured 502s instead of panicking a
-    // worker (see DESIGN.md §6.5).
-    if let Some(plan) = fdip_sim::fault::FaultPlan::from_env()? {
-        if plan.requires_fleet() && config.fleet.is_none() {
-            return Err(
-                "$FDIP_FAULTS injects network faults (drop/partition/slowlink/truncframe), \
-                 which only make sense against remote workers; rerun with --fleet ADDR,..."
-                    .into(),
-            );
-        }
-        if plan.requires_isolation() && config.isolate_workers == 0 && config.fleet.is_none() {
-            return Err(
-                "$FDIP_FAULTS injects abort/hang/bigalloc faults, which take the whole \
-                 server down; rerun with --isolate N to contain them in worker processes"
-                    .into(),
-            );
-        }
-        eprintln!(
-            "fault plan (from $FDIP_FAULTS): {} site(s), seed {}",
-            plan.site_count(),
-            plan.seed()
-        );
-        fdip_sim::harness::Harness::global().set_fault_plan(Some(plan));
-    }
-
-    let server = Server::bind(config.clone()).map_err(|e| format!("bind {}: {e}", config.addr))?;
+    let server = Server::bind(config.clone()).map_err(|e| format!("serve {}: {e}", config.addr))?;
     let addr = server.local_addr()?;
     println!("fdip-serve listening on http://{addr}");
     println!(
@@ -934,20 +706,6 @@ fn cmd_serve(args: &Args) -> CliResult {
         println!(
             "  rate limit: {} request(s)/second per x-fdip-tenant (429 beyond)",
             config.tenant_rps
-        );
-    }
-    if let Some(addrs) = &config.fleet {
-        println!("  fleet: cells dispatch to worker daemons at {addrs}; a lost node re-dispatches");
-    } else if config.isolate_workers > 0 {
-        println!(
-            "  isolation: {} worker process(es); crashing cells return 502, the server stays up",
-            config.isolate_workers,
-        );
-    }
-    if let Some(dir) = &config.cache_dir {
-        println!(
-            "  cell cache: {} (disable with --cache none)",
-            dir.display()
         );
     }
     println!("  endpoints: /healthz /metrics /v1/run /v1/compare /v1/experiments/{{id}}");

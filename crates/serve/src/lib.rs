@@ -7,9 +7,9 @@
 //! ([`sched`]), the bounded dispatch queue ([`queue`]), Prometheus
 //! metrics ([`metrics`]), and signal handling ([`signal`]) are all
 //! hand-rolled on `std` (raw syscalls where the platform demands them).
-//! What makes the service worth running is the shared
-//! [`Harness`](fdip_sim::harness::Harness): every request is answered
-//! through the process-global trace store and content-keyed cell cache,
+//! What makes the service worth running is its [`Harness`]: every request
+//! is answered through the server's own trace store and content-keyed
+//! cell cache, built once from the [`ServeConfig`] when the server binds,
 //! so a warm server answers repeated and overlapping experiment queries
 //! orders of magnitude faster than cold simulation, and concurrent
 //! identical requests coalesce — at the harness *and*, since the event
@@ -86,7 +86,15 @@ mod server;
 
 pub use server::{Server, ShutdownHandle};
 
+use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
+
+use fdip_sim::fault::{FaultPlan, RetryPolicy};
+use fdip_sim::harness::{Harness, Opened};
+use fdip_sim::options::{Dispatch, RunOptions};
+use fdip_sim::supervisor::SupervisorConfig;
 
 /// Server configuration, mirrored by the `fdip serve` CLI flags.
 #[derive(Clone, Debug)]
@@ -134,6 +142,11 @@ pub struct ServeConfig {
     /// warm from its first request: finished cells are read back (CRC32-
     /// verified) instead of re-simulated.
     pub cache_dir: Option<PathBuf>,
+    /// Deterministic faults injected into this server's cells (`fdip
+    /// serve` reads them from `$FDIP_FAULTS`); matching cells answer with
+    /// a structured 502. Abort/hang/bigalloc faults need
+    /// `isolate_workers`, network faults need `fleet`.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ServeConfig {
@@ -152,6 +165,41 @@ impl Default for ServeConfig {
             fleet: None,
             fleet_heartbeat_ms: None,
             cache_dir: None,
+            faults: None,
         }
+    }
+}
+
+impl ServeConfig {
+    /// Builds the server's harness: cells run in-process, in
+    /// `isolate_workers` worker processes, or on the `fleet` — out of
+    /// process, the request timeout doubles as the hard per-cell budget —
+    /// with `faults` injected and `cache_dir` as the shared result cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`Harness::open`], plus an empty `fleet` address list.
+    pub fn open_harness(&self) -> io::Result<Opened> {
+        let dispatch = match (&self.fleet, self.isolate_workers) {
+            (Some(addrs), _) => Dispatch::fleet(addrs, self.fleet_heartbeat_ms)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
+            (None, 0) => Dispatch::InProcess,
+            (None, workers) => Dispatch::Isolated(SupervisorConfig {
+                workers,
+                ..SupervisorConfig::default()
+            }),
+        };
+        let cell_budget =
+            (dispatch != Dispatch::InProcess).then(|| Duration::from_millis(self.timeout_ms));
+        Harness::open(RunOptions {
+            retry: RetryPolicy {
+                cell_budget,
+                ..RetryPolicy::default()
+            },
+            faults: self.faults.clone(),
+            cache: self.cache_dir.clone(),
+            dispatch,
+            ..RunOptions::default()
+        })
     }
 }

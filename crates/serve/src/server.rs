@@ -93,12 +93,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `config.addr` and prepares the worker pool (workers start in
-    /// [`run`](Server::run)).
+    /// Binds `config.addr`, builds the server's own harness from `config`
+    /// ([`ServeConfig::open_harness`]), and prepares the worker pool
+    /// (workers start in [`run`](Server::run)).
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures and [`ServeConfig::open_harness`]'s.
     pub fn bind(mut config: ServeConfig) -> io::Result<Server> {
         if let Some(limit) = fd_soft_limit() {
             // Keep the connection cap comfortably under the fd soft
@@ -117,59 +118,9 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
-        if let Some(addrs) = &config.fleet {
-            // Fleet dispatch: cells run on remote `fdip workerd` daemons.
-            // Same budget discipline as local isolation; a lost node is a
-            // retryable re-dispatch, not a failed request.
-            fdip_sim::harness::Harness::global().set_retry_policy(fdip_sim::fault::RetryPolicy {
-                cell_budget: Some(std::time::Duration::from_millis(config.timeout_ms)),
-                ..fdip_sim::fault::RetryPolicy::default()
-            });
-            let list: Vec<String> = addrs
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            let mut fleet_config = fdip_sim::fleet::FleetConfig::new(list);
-            if let Some(ms) = config.fleet_heartbeat_ms {
-                fleet_config.heartbeat_timeout = std::time::Duration::from_millis(ms);
-            }
-            let fleet = fdip_sim::harness::Harness::global().enable_fleet(fleet_config)?;
-            eprintln!(
-                "fleet: {} node(s), {} worker seat(s)",
-                fleet.nodes().len(),
-                fleet.workers()
-            );
-        } else if config.isolate_workers > 0 {
-            // Route cell computes through supervised worker processes: a
-            // cell that aborts or hangs costs one disposable worker and a
-            // structured 502, never this process. The request timeout
-            // doubles as the hard per-cell budget, enforced with SIGKILL.
-            fdip_sim::harness::Harness::global().set_retry_policy(fdip_sim::fault::RetryPolicy {
-                cell_budget: Some(std::time::Duration::from_millis(config.timeout_ms)),
-                ..fdip_sim::fault::RetryPolicy::default()
-            });
-            fdip_sim::harness::Harness::global().enable_isolation(
-                fdip_sim::supervisor::SupervisorConfig {
-                    workers: config.isolate_workers,
-                    ..fdip_sim::supervisor::SupervisorConfig::default()
-                },
-            );
-        }
-        if let Some(dir) = &config.cache_dir {
-            // Warm restarts: finished cells persisted by a previous run (or
-            // a batch CLI sharing the directory) are read back instead of
-            // re-simulated; corrupt entries are skipped, counted, and
-            // repaired on the next store.
-            let summary = fdip_sim::harness::Harness::global().attach_cache(dir)?;
-            eprintln!(
-                "cell cache {}: {} entr{} restored, {} corrupt",
-                dir.display(),
-                summary.entries,
-                if summary.entries == 1 { "y" } else { "ies" },
-                summary.corrupt
-            );
-        }
+        let opened = config.open_harness()?;
+        eprint!("{}", opened.startup_lines());
+        let harness = Arc::new(opened.harness);
         let threads = if config.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -177,7 +128,7 @@ impl Server {
         } else {
             config.threads
         };
-        let service = Arc::new(Service::new(config, Arc::new(Metrics::default())));
+        let service = Arc::new(Service::new(config, Arc::new(Metrics::default()), harness));
         Ok(Server {
             listener,
             service,

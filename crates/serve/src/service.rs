@@ -4,8 +4,8 @@
 //! attacker-shaped, so every parse returns an [`ApiError`] (rendered as a
 //! JSON error document with the right status) and no handler path may
 //! panic or index blindly. Simulation is sourced exclusively through the
-//! process-global [`Harness`], so concurrent and repeated requests share
-//! traces and finished cells instead of recomputing them.
+//! server's [`Harness`], so concurrent and repeated requests share traces
+//! and finished cells instead of recomputing them.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,16 +138,16 @@ type ApiResult<T> = Result<T, ApiError>;
 pub struct Service {
     config: ServeConfig,
     metrics: Arc<Metrics>,
-    harness: &'static Harness,
+    harness: Arc<Harness>,
 }
 
 impl Service {
-    /// A service over the process-global harness.
-    pub fn new(config: ServeConfig, metrics: Arc<Metrics>) -> Service {
+    /// A service answering through `harness`.
+    pub fn new(config: ServeConfig, metrics: Arc<Metrics>, harness: Arc<Harness>) -> Service {
         Service {
             config,
             metrics,
-            harness: Harness::global(),
+            harness,
         }
     }
 
@@ -565,6 +565,7 @@ fn parse_config(raw: &Json) -> ApiResult<FrontendConfig> {
 mod tests {
     use super::*;
     use crate::http::Request;
+    use fdip_sim::fault::FaultPlan;
 
     fn service() -> Service {
         service_in("shared")
@@ -573,14 +574,22 @@ mod tests {
     /// A service whose results dir is private to `tag` (tests that write
     /// documents must not race each other).
     fn service_in(tag: &str) -> Service {
+        service_with(tag, None)
+    }
+
+    /// A service over a harness of its own, injecting the fault plan
+    /// `faults`: no other test can see its plan, cells, or counters.
+    fn service_with(tag: &str, faults: Option<&str>) -> Service {
         let dir = std::env::temp_dir().join(format!("fdip-serve-service-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::create_dir_all(&dir);
         let config = ServeConfig {
             results_dir: dir,
+            faults: faults.map(|spec| Arc::new(FaultPlan::parse(spec).expect("plan"))),
             ..ServeConfig::default()
         };
-        Service::new(config, Arc::new(Metrics::default()))
+        let harness = config.open_harness().expect("open the harness").harness;
+        Service::new(config, Arc::new(Metrics::default()), Arc::new(harness))
     }
 
     fn post(path: &str, body: &str) -> Request {
@@ -598,32 +607,6 @@ mod tests {
             path: path.to_string(),
             headers: Vec::new(),
             body: Vec::new(),
-        }
-    }
-
-    /// Installs a fault plan on the global harness for the guard's
-    /// lifetime, serializing the tests that do so: each one clears the
-    /// plan when done, which would otherwise disarm a sibling's plan
-    /// mid-request.
-    struct FaultGuard {
-        _guard: std::sync::MutexGuard<'static, ()>,
-    }
-
-    impl FaultGuard {
-        fn install(plan: &str) -> FaultGuard {
-            static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-            let guard = FAULT_LOCK
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            Harness::global()
-                .set_fault_plan(Some(fdip_sim::fault::FaultPlan::parse(plan).expect("plan")));
-            FaultGuard { _guard: guard }
-        }
-    }
-
-    impl Drop for FaultGuard {
-        fn drop(&mut self) {
-            Harness::global().set_fault_plan(None);
         }
     }
 
@@ -839,10 +822,10 @@ mod tests {
 
     #[test]
     fn failed_cells_become_structured_502s() {
-        let s = service();
-        // Coordinates pin the plan to seeds no other test uses, so the
-        // plan cannot fire for tests sharing the global harness.
-        let faults = FaultGuard::install("panic@microloop~s404/run,panic@microloop~s405/baseline");
+        let s = service_with(
+            "shared",
+            Some("panic@microloop~s404/run,panic@microloop~s405/baseline"),
+        );
         let run = s.route(
             &post(
                 "/v1/run",
@@ -859,7 +842,6 @@ mod tests {
             ),
             0,
         );
-        drop(faults);
 
         assert_eq!(run.status, 502, "{}", body_str(&run));
         let doc = Json::parse(&body_str(&run)).unwrap();
@@ -878,8 +860,7 @@ mod tests {
 
     #[test]
     fn compare_marks_failed_candidates_without_failing_the_request() {
-        let s = service();
-        let faults = FaultGuard::install("panic@microloop~s406/bad");
+        let s = service_with("shared", Some("panic@microloop~s406/bad"));
         let resp = s.route(
             &post(
                 "/v1/compare",
@@ -890,7 +871,6 @@ mod tests {
             ),
             0,
         );
-        drop(faults);
         assert_eq!(resp.status, 200, "{}", body_str(&resp));
         let doc = Json::parse(&body_str(&resp)).unwrap();
         let rows = doc.get("results").and_then(Json::as_array).unwrap();
@@ -979,13 +959,15 @@ mod tests {
                        "trace_len": 1200}"#;
         let first = s.route(&post("/v1/run", body), 0);
         assert_eq!(first.status, 200);
-        let before = Harness::global().stats();
+        let before = s.harness.stats();
         let second = s.route(&post("/v1/run", body), 0);
         assert_eq!(second.status, 200);
-        let after = Harness::global().stats();
-        // The repeat simulated nothing new.
+        let after = s.harness.stats();
+        // The service's own harness saw exactly one simulation, and the
+        // repeat simulated nothing new.
+        assert_eq!((before.cells_simulated, before.traces_generated), (1, 1));
         assert_eq!(after.cells_simulated, before.cells_simulated);
         assert_eq!(after.traces_generated, before.traces_generated);
-        assert!(after.cell_hits > before.cell_hits);
+        assert_eq!(after.cell_hits, before.cell_hits + 1);
     }
 }

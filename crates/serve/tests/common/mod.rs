@@ -1,6 +1,6 @@
 //! Shared helpers for the serve integration tests: a self-stopping test
-//! server, minimal HTTP/1.1 client plumbing, and a guard that installs a
-//! process-global harness fault plan for the duration of a test.
+//! server, minimal HTTP/1.1 client plumbing, and fault plans to hand a
+//! test server through its config.
 
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use fdip_serve::metrics::Metrics;
 use fdip_serve::{ServeConfig, Server, ShutdownHandle};
+use fdip_sim::fault::FaultPlan;
 
 pub struct TestServer {
     pub addr: SocketAddr,
@@ -107,30 +108,10 @@ pub fn request_with_headers(
     read_response(&mut reader)
 }
 
-/// Serializes tests that install a global harness fault plan (the plan is
-/// process-wide; concurrent setters would clobber each other).
-static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Installs `plan` on the process-global harness for the guard's
-/// lifetime. Plans are pinned to specific workload seeds, so tests not
-/// named in the plan are unaffected even while it is installed.
-pub struct FaultGuard {
-    _guard: std::sync::MutexGuard<'static, ()>,
-}
-
-impl FaultGuard {
-    pub fn install(plan: &str) -> FaultGuard {
-        let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fdip_sim::harness::Harness::global()
-            .set_fault_plan(Some(fdip_sim::fault::FaultPlan::parse(plan).expect("plan")));
-        FaultGuard { _guard: guard }
-    }
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        fdip_sim::harness::Harness::global().set_fault_plan(None);
-    }
+/// The fault plan `spec`, for a test server's [`ServeConfig::faults`]:
+/// each server injects only its own plan.
+pub fn plan(spec: &str) -> Option<Arc<FaultPlan>> {
+    Some(Arc::new(FaultPlan::parse(spec).expect("plan")))
 }
 
 /// A `/v1/run` body for the microloop profile at `seed` (distinct seeds

@@ -10,9 +10,7 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use common::{
-    read_response, request, request_with_headers, run_body, spawn_run, FaultGuard, TestServer,
-};
+use common::{plan, read_response, request, request_with_headers, run_body, spawn_run, TestServer};
 use fdip_serve::ServeConfig;
 
 /// Regression for the blocking-shed bug: the old accept loop wrote 503
@@ -22,8 +20,8 @@ use fdip_serve::ServeConfig;
 /// responses and three half-written requests are outstanding.
 #[test]
 fn shedding_never_reading_clients_does_not_block_other_requests() {
-    let _fault = FaultGuard::install("slow@microloop~s930/run:1500");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s930/run:1500"),
         threads: 1,
         queue_depth: 1,
         timeout_ms: 30_000,
@@ -93,8 +91,8 @@ fn shedding_never_reading_clients_does_not_block_other_requests() {
 /// ~450ms for the seat reports ~450ms more than its compute time.
 #[test]
 fn reported_latency_includes_queue_wait() {
-    let _fault = FaultGuard::install("slow@microloop~s940/run:700");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s940/run:700"),
         threads: 1,
         queue_depth: 4,
         timeout_ms: 30_000,
@@ -179,8 +177,8 @@ fn malformed_deadline_header_is_rejected_with_400() {
 /// coalesced counter says how many rode along.
 #[test]
 fn identical_concurrent_runs_coalesce_into_one_simulation() {
-    let _fault = FaultGuard::install("slow@microloop~s960/run:800");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s960/run:800"),
         threads: 1,
         queue_depth: 4,
         timeout_ms: 30_000,
@@ -320,8 +318,8 @@ fn keep_alive_pipelined_requests_share_a_connection() {
 /// leader is still computing — not wait out the leader's lazier budget.
 #[test]
 fn coalesced_follower_expires_on_its_own_deadline() {
-    let _fault = FaultGuard::install("slow@microloop~s9400/run:1500");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s9400/run:1500"),
         threads: 1,
         queue_depth: 4,
         timeout_ms: 30_000,
@@ -396,8 +394,8 @@ fn set_linger_zero(stream: &TcpStream) {
 #[cfg(target_os = "linux")]
 #[test]
 fn rst_while_waiting_is_reaped_not_spun() {
-    let _fault = FaultGuard::install("slow@microloop~s9500/run:1200");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s9500/run:1200"),
         threads: 1,
         timeout_ms: 30_000,
         ..ServeConfig::default()

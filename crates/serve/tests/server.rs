@@ -2,8 +2,8 @@
 //! deadlines, graceful drain, and metrics reconciliation.
 //!
 //! Each test binds its own server on port 0 and runs it on a background
-//! thread; the process-global harness is shared across tests, which is
-//! exactly the production arrangement.
+//! thread. Every server owns its harness — cell cache, counters and fault
+//! plan — so concurrent tests cannot see each other's state.
 
 mod common;
 
@@ -11,9 +11,7 @@ use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use common::{
-    read_response, request, request_with_headers, run_body, spawn_run, FaultGuard, TestServer,
-};
+use common::{plan, read_response, request, request_with_headers, run_body, spawn_run, TestServer};
 use fdip_serve::ServeConfig;
 
 #[test]
@@ -75,11 +73,51 @@ fn healthz_run_and_metrics_over_tcp() {
 }
 
 #[test]
+fn fault_plans_belong_to_the_server_they_configure() {
+    // Two servers in one process, asked for the same cell at the same
+    // time: only the one whose config carries the plan fails it.
+    let faulted = TestServer::start(ServeConfig {
+        threads: 1,
+        faults: plan("panic@microloop~s950/run"),
+        ..ServeConfig::default()
+    });
+    let clean = TestServer::start(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let a = spawn_run(faulted.addr, 950);
+    let b = spawn_run(clean.addr, 950);
+    let (status, body) = a.join().expect("faulted client");
+    assert_eq!(status, 502, "{body}");
+    assert!(body.contains("\"cell_error\""), "{body}");
+    let (status, body) = b.join().expect("clean client");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"ipc\""), "{body}");
+
+    let (_, text) = request(faulted.addr, "GET", "/metrics", "");
+    assert!(
+        text.contains("fdip_serve_harness_cells_failed_total 1"),
+        "{text}"
+    );
+    let (_, text) = request(clean.addr, "GET", "/metrics", "");
+    assert!(
+        text.contains("fdip_serve_harness_cells_failed_total 0"),
+        "{text}"
+    );
+    assert!(
+        text.contains("fdip_serve_harness_cells_simulated_total 1"),
+        "{text}"
+    );
+    faulted.stop();
+    clean.stop();
+}
+
+#[test]
 fn full_queue_sheds_with_503_and_retry_after() {
     // Seed 900 holds the single compute seat for 1.5s; seed 901 sits in
     // the queue's one slot behind it.
-    let _fault = FaultGuard::install("slow@microloop~s900/run:1500");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s900/run:1500"),
         threads: 1,
         queue_depth: 1,
         timeout_ms: 30_000,
@@ -121,8 +159,8 @@ fn full_queue_sheds_with_503_and_retry_after() {
 
 #[test]
 fn queued_request_past_its_deadline_gets_408() {
-    let _fault = FaultGuard::install("slow@microloop~s910/run:1200");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s910/run:1200"),
         threads: 1,
         queue_depth: 4,
         timeout_ms: 30_000,
@@ -171,8 +209,8 @@ fn queued_request_past_its_deadline_gets_408() {
 
 #[test]
 fn shutdown_drains_queued_work_before_returning() {
-    let _fault = FaultGuard::install("slow@microloop~s920/run:800");
     let t = TestServer::start(ServeConfig {
+        faults: plan("slow@microloop~s920/run:800"),
         threads: 1,
         queue_depth: 4,
         timeout_ms: 30_000,

@@ -34,7 +34,8 @@ use fdip_types::Json;
 
 use crate::fault::{splitmix64, FaultPlan, RetryPolicy};
 use crate::fleet::FleetConfig;
-use crate::harness::{Harness, HarnessStats};
+use crate::harness::{Harness, HarnessStats, Opened};
+use crate::options::{Dispatch, RunOptions};
 use crate::{experiments, Scale};
 
 /// Version of the persisted `results/BENCH_chaos.json` layout.
@@ -406,24 +407,32 @@ pub fn run_chaos(config: &ChaosConfig) -> io::Result<ChaosReport> {
             format!("slow@*/*:800,{pick}")
         };
 
-        let harness = Harness::with_threads(4);
-        harness.set_retry_policy(RetryPolicy {
-            max_attempts: 4,
-            backoff: Duration::from_millis(25),
-            cell_budget: Some(Duration::from_secs(30)),
-        });
-        harness.set_fault_plan(Some(
-            FaultPlan::parse(&fault_plan)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
-        ));
-        let fleet_config = FleetConfig {
-            addrs: addrs.clone(),
-            connect_timeout: Duration::from_secs(3),
-            heartbeat_timeout: Duration::from_millis(700),
-            reprobe_base: Duration::from_millis(150),
-        };
-        let fleet = harness.enable_fleet(fleet_config)?;
-        let scan = harness.attach_cache(&cache_dir)?;
+        let plan = FaultPlan::parse(&fault_plan)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let Opened {
+            harness,
+            fleet,
+            cache,
+            ..
+        } = Harness::open(RunOptions {
+            threads: Some(4),
+            retry: RetryPolicy {
+                max_attempts: 4,
+                backoff: Duration::from_millis(25),
+                cell_budget: Some(Duration::from_secs(30)),
+            },
+            faults: Some(Arc::new(plan)),
+            cache: Some(cache_dir.clone()),
+            dispatch: Dispatch::Fleet(FleetConfig {
+                addrs: addrs.clone(),
+                connect_timeout: Duration::from_secs(3),
+                heartbeat_timeout: Duration::from_millis(700),
+                reprobe_base: Duration::from_millis(150),
+            }),
+            ..RunOptions::default()
+        })?;
+        let fleet = fleet.expect("fleet dispatch attaches a fleet");
+        let scan = cache.unwrap_or_default();
 
         // The kill/restart schedule, deterministic per round: SIGKILL a
         // seeded victim mid-round, hold it down, restart it in place.

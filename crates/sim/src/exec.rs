@@ -129,8 +129,8 @@ pub(crate) trait Executor {
 
 /// One attempt at a cell on `executor`: fire the fault plan, fail a
 /// logical fault on the spot, refuse a fault the executor cannot realise
-/// (a plan smuggled past the CLI's up-front gate stays visible instead of
-/// silent), and dispatch the rest.
+/// (the backstop behind [`Harness::open`]'s up-front reach check: such a
+/// fault stays visible instead of silent), and dispatch the rest.
 pub(crate) fn attempt(
     executor: &dyn Executor,
     cell: &CellRun<'_>,

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use fdip_types::{Json, ToJson};
 
-use crate::exec::Injected;
+use crate::exec::{Injected, Reach};
 use crate::ipc::WorkerFault;
 use crate::net::NetFault;
 
@@ -345,21 +345,18 @@ enum FaultKind {
 }
 
 impl FaultKind {
-    fn requires_isolation(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Abort { .. } | FaultKind::Hang | FaultKind::BigAlloc { .. }
-        )
-    }
-
-    fn requires_fleet(&self) -> bool {
-        matches!(
-            self,
+    /// The nearest execution reach that can realise this kind.
+    fn needs(&self) -> Reach {
+        match self {
+            FaultKind::Abort { .. } | FaultKind::Hang | FaultKind::BigAlloc { .. } => {
+                Reach::Process
+            }
             FaultKind::Drop { .. }
-                | FaultKind::Partition { .. }
-                | FaultKind::Slowlink { .. }
-                | FaultKind::TruncFrame { .. }
-        )
+            | FaultKind::Partition { .. }
+            | FaultKind::Slowlink { .. }
+            | FaultKind::TruncFrame { .. } => Reach::Fleet,
+            _ => Reach::InProcess,
+        }
     }
 }
 
@@ -404,13 +401,11 @@ impl FaultSite {
 ///
 /// The `abort`/`hang`/`bigalloc` kinds crash or wedge the *process*
 /// computing the cell, so they are accepted only when cells execute in
-/// supervised worker processes (`--isolate`); see
-/// [`requires_isolation`](Self::requires_isolation).
+/// supervised worker processes (`--isolate`).
 ///
 /// The `drop`/`partition`/`slowlink`/`truncframe` kinds inject at the
 /// fleet transport (severed connections, silent peers, slow links,
-/// corrupt frames) and are accepted only under `--fleet`; see
-/// [`requires_fleet`](Self::requires_fleet). They default to firing
+/// corrupt frames) and are accepted only under `--fleet`. They default to firing
 /// *once* so a drilled run converges: the re-dispatch must succeed and
 /// the output must match a fault-free run.
 ///
@@ -551,16 +546,16 @@ impl FaultPlan {
         self.sites.len()
     }
 
-    /// Whether any site injects a process-lethal fault (`abort`, `hang`,
-    /// `bigalloc`) that only supervised worker isolation can contain.
-    pub fn requires_isolation(&self) -> bool {
-        self.sites.iter().any(|s| s.kind.requires_isolation())
-    }
-
-    /// Whether any site injects a network fault (`drop`, `partition`,
-    /// `slowlink`, `truncframe`) that only fleet dispatch can realize.
-    pub fn requires_fleet(&self) -> bool {
-        self.sites.iter().any(|s| s.kind.requires_fleet())
+    /// The nearest execution reach that can realise every site: a
+    /// process-lethal fault (`abort`, `hang`, `bigalloc`) needs worker
+    /// isolation, a network fault (`drop`, `partition`, `slowlink`,
+    /// `truncframe`) needs fleet dispatch.
+    pub(crate) fn needs(&self) -> Reach {
+        self.sites
+            .iter()
+            .map(|s| s.kind.needs())
+            .max()
+            .unwrap_or(Reach::InProcess)
     }
 
     /// Arms the next fault for one compute attempt at
@@ -603,7 +598,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Reach;
 
     /// The reach an executor needs to realise `action`; `None` for the
     /// logical kinds, which never leave the harness.
@@ -711,7 +705,7 @@ mod tests {
     fn isolation_only_kinds_parse_and_are_flagged() {
         let plan = FaultPlan::parse("abort@w/c,hang@*/c,bigalloc@w/*:2").unwrap();
         assert_eq!(plan.site_count(), 3);
-        assert!(plan.requires_isolation());
+        assert_eq!(plan.needs(), Reach::Process);
         assert_eq!(plan.fire("w", "c"), Some(FaultAction::Abort));
         assert_eq!(plan.fire("x", "c"), Some(FaultAction::Hang));
         assert_eq!(plan.fire("w", "z"), Some(FaultAction::BigAlloc));
@@ -723,7 +717,7 @@ mod tests {
         assert_eq!(needs(FaultAction::Panic), Some(Reach::InProcess));
 
         let tame = FaultPlan::parse("panic@w/c,slow@w/c:5").unwrap();
-        assert!(!tame.requires_isolation());
+        assert_eq!(tame.needs(), Reach::InProcess);
 
         assert!(FaultPlan::parse("hang@w/c:3").is_err());
         assert!(FaultPlan::parse("abort@w/c:soon").is_err());
@@ -734,8 +728,7 @@ mod tests {
         let plan =
             FaultPlan::parse("drop@w/c,partition@*/c:2,slowlink@w/c:50,truncframe@w/*").unwrap();
         assert_eq!(plan.site_count(), 4);
-        assert!(plan.requires_fleet());
-        assert!(!plan.requires_isolation());
+        assert_eq!(plan.needs(), Reach::Fleet);
         // Network shots default to once (drills must converge on retry).
         assert_eq!(plan.fire("w", "c"), Some(FaultAction::NetDrop));
         assert_eq!(plan.fire("x", "c"), Some(FaultAction::NetPartition));
@@ -763,7 +756,10 @@ mod tests {
         ] {
             assert_eq!(needs(action), Some(Reach::Fleet));
         }
-        assert!(!FaultPlan::parse("abort@w/c").unwrap().requires_fleet());
+        assert_eq!(
+            FaultPlan::parse("abort@w/c,panic@w/c").unwrap().needs(),
+            Reach::Process
+        );
 
         assert!(FaultPlan::parse("slowlink@w/c").is_err());
         assert!(FaultPlan::parse("slowlink@w/c:fast").is_err());

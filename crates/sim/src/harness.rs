@@ -27,8 +27,8 @@
 //!   `fdip`'s differential proptests and the tests here), share the same
 //!   cache slots and fingerprints, and journal identically; the pass
 //!   stands down entirely when a fault plan, an out-of-process executor,
-//!   or a cell budget is active, or when [`Harness::set_batching`] turned it
-//!   off (`--batch=off` on the CLIs).
+//!   or a cell budget is active, or when [`RunOptions::batching`] turned
+//!   it off (`--batch=off` on the CLIs).
 //!
 //! On top of the caching sits the fault model (see [`crate::fault`]):
 //!
@@ -41,12 +41,17 @@
 //!   ([`CellError::Timeout`]);
 //! * failures are **never cached** — the failed slot resets to idle so a
 //!   later request (or a resumed run) can try again;
-//! * with a journal attached ([`Harness::attach_journal`]), every
-//!   completed cell is appended to a crash-tolerant JSONL file and a
-//!   restart preloads it, re-simulating only what never finished;
+//! * with a journal ([`RunOptions::journal`]), every completed cell is
+//!   appended to a crash-tolerant JSONL file and a restart preloads it,
+//!   re-simulating only what never finished;
 //! * every lock acquisition recovers from poisoning
 //!   (`PoisonError::into_inner`): the caches hold plain finished data, so
 //!   a panic while holding a guard cannot leave them logically torn.
+//!
+//! A harness's configuration is one [`RunOptions`] value, fixed when
+//! [`Harness::open`] builds it: plain fields that no method changes
+//! afterwards, so the per-cell path reads them without locking and two
+//! harnesses in one process never share a knob.
 //!
 //! [`Harness::stats`] exposes hit/miss plus failure/retry/journal
 //! counters; the acceptance tests in `tests/experiment_smoke.rs` and
@@ -86,15 +91,12 @@ use fdip_trace::{Trace, TraceStats};
 use crate::cache::{CacheLookup, CacheSummary, ResultCache};
 use crate::exec::{self, quiet_catch_unwind, CellRun, Executor, InProcess, Reach};
 use crate::fault::{fnv1a, splitmix64, CellError, FaultPlan, RetryPolicy};
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::Fleet;
 use crate::journal::{self, Journal, JournalEntry, JournalSummary};
+use crate::options::{Dispatch, RunOptions};
 use crate::runner::RunResult;
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use crate::workload::WorkloadSpec;
-
-/// The executor slot: a shared out-of-process executor, or `None` for
-/// in-process execution.
-type ExecutorSlot = Mutex<Option<Arc<dyn Executor + Send + Sync>>>;
 
 /// Locks a mutex, recovering from poisoning. Every shared structure in
 /// the harness holds plain finished values (or a state flag that the
@@ -168,7 +170,7 @@ pub struct HarnessStats {
     /// Cell attempts re-dispatched to the fleet after a failed attempt.
     pub cells_redispatched: u64,
     /// Cells served from the shared on-disk result cache instead of
-    /// simulated (requires [`Harness::attach_cache`]).
+    /// simulated (requires [`RunOptions::cache`]).
     pub remote_cache_hits: u64,
     /// Lost fleet nodes readmitted (on probation) after a reprobe
     /// completed a full re-handshake.
@@ -246,25 +248,97 @@ struct CellSlot {
     done: Condvar,
 }
 
-/// The process-wide experiment execution engine. See the module docs.
-#[derive(Default)]
+/// The experiment execution engine. See the module docs.
 pub struct Harness {
     traces: Mutex<HashMap<TraceKey, Slot<Arc<TraceEntry>>>>,
     cells: Mutex<HashMap<CellKey, Arc<CellSlot>>>,
-    /// Worker-thread override; `None` means `available_parallelism()`.
+    /// Worker-thread override; `None` means one per core, or one per
+    /// executor seat.
     threads: Option<usize>,
-    faults: Mutex<Option<Arc<FaultPlan>>>,
-    retry: Mutex<RetryPolicy>,
-    journal: Mutex<Option<Arc<Journal>>>,
-    /// When set, cell attempts run on this executor (supervised worker
-    /// processes or a fleet of worker daemons) instead of in-process.
-    executor: ExecutorSlot,
+    retry: RetryPolicy,
+    faults: Option<Arc<FaultPlan>>,
+    batching: bool,
+    journal: Option<Journal>,
     /// When set, finished cells persist to (and are restored from) the
     /// shared on-disk result cache.
-    disk_cache: Mutex<Option<Arc<ResultCache>>>,
-    /// Inverted so `Default` yields batching *on* (see
-    /// [`set_batching`](Self::set_batching)).
-    batch_off: std::sync::atomic::AtomicBool,
+    disk_cache: Option<ResultCache>,
+    /// When set, cell attempts run on this executor (supervised worker
+    /// processes or a fleet of worker daemons) instead of in-process.
+    /// Attached at most once, before the first cell runs.
+    executor: OnceLock<Arc<dyn Executor + Send + Sync>>,
+    counters: Counters,
+}
+
+/// A harness built by [`Harness::open`], with what opening it attached.
+pub struct Opened {
+    /// The harness, configured once and for good.
+    pub harness: Harness,
+    /// The fleet cells dispatch to, under [`Dispatch::Fleet`].
+    pub fleet: Option<Arc<Fleet>>,
+    /// What a scan of [`RunOptions::cache`] found.
+    pub cache: Option<CacheSummary>,
+    /// What replaying [`RunOptions::journal`] restored.
+    pub journal: Option<JournalSummary>,
+}
+
+impl Opened {
+    /// The start-up report, one line per thing the run attached: the
+    /// fleet or worker pool, the disk cache, the fault plan, the journal.
+    /// Empty for a default-options harness.
+    pub fn startup_lines(&self) -> String {
+        let harness = &self.harness;
+        let mut out = String::new();
+        if let Some(fleet) = &self.fleet {
+            let nodes = fleet.nodes();
+            let list: Vec<String> = nodes
+                .iter()
+                .map(|(addr, seats)| format!("{addr} x{seats}"))
+                .collect();
+            out += &format!(
+                "fleet: {} node(s), {} worker seat(s): {}\n",
+                nodes.len(),
+                fleet.workers(),
+                list.join(", ")
+            );
+        } else if let (Reach::Process, Some(pool)) = (harness.reach(), harness.executor.get()) {
+            let budget = harness.retry.cell_budget.map_or_else(
+                || "unbounded".to_string(),
+                |b| format!("{}ms (hard SIGKILL)", b.as_millis()),
+            );
+            out += &format!(
+                "isolation: {} worker process(es), cell budget {budget}\n",
+                pool.workers()
+            );
+        }
+        if let (Some(cache), Some(summary)) = (&harness.disk_cache, &self.cache) {
+            out += &format!(
+                "cell cache {}: {} entr{} restored, {} corrupt\n",
+                cache.dir().display(),
+                summary.entries,
+                if summary.entries == 1 { "y" } else { "ies" },
+                summary.corrupt,
+            );
+        }
+        if let Some(plan) = &harness.faults {
+            out += &format!(
+                "fault plan: {} site(s), seed {}\n",
+                plan.site_count(),
+                plan.seed()
+            );
+        }
+        if let Some(summary) = &self.journal {
+            out += &format!(
+                "journal: restored {} cell(s), skipped {} line(s), {} corrupt\n",
+                summary.restored, summary.skipped, summary.corrupt
+            );
+        }
+        out
+    }
+}
+
+/// The counters behind [`HarnessStats`], bumped as the workers go.
+#[derive(Default)]
+struct Counters {
     traces_generated: AtomicU64,
     trace_hits: AtomicU64,
     traces_shared: AtomicU64,
@@ -280,26 +354,118 @@ pub struct Harness {
     remote_cache_hits: AtomicU64,
 }
 
+impl Default for Harness {
+    fn default() -> Harness {
+        Harness::new()
+    }
+}
+
 impl Harness {
     /// An empty harness sized to the machine's parallelism.
     pub fn new() -> Harness {
-        Harness::default()
+        Harness::configured(&RunOptions::default())
     }
 
     /// An empty harness pinned to exactly `threads` worker threads
     /// (`1` runs everything inline on the calling thread).
     pub fn with_threads(threads: usize) -> Harness {
+        Harness::configured(&RunOptions {
+            threads: Some(threads),
+            ..RunOptions::default()
+        })
+    }
+
+    /// A harness holding `options`' plain values, with nothing attached.
+    fn configured(options: &RunOptions) -> Harness {
         Harness {
-            threads: Some(threads.max(1)),
-            ..Harness::default()
+            traces: Mutex::default(),
+            cells: Mutex::default(),
+            threads: options.threads.map(|t| t.max(1)),
+            retry: options.retry,
+            faults: options.faults.clone(),
+            batching: options.batching,
+            journal: None,
+            disk_cache: None,
+            executor: OnceLock::new(),
+            counters: Counters::default(),
         }
     }
 
-    /// The process-wide shared harness: every experiment run through the
-    /// registry uses this instance, so traces and cells are shared across
-    /// experiments, not just within one. Its locks recover from
-    /// poisoning, so a panicking cell in one experiment never bricks the
-    /// instance for the rest of the process.
+    /// Builds the harness `options` describe, doing all of its start-up
+    /// work once: checks that the dispatch can realise every fault in the
+    /// plan, connects the fleet or prepares the worker pool, opens the
+    /// disk cache, and replays the journal into the cell cache.
+    ///
+    /// # Errors
+    ///
+    /// A fault plan the dispatch cannot realise (`InvalidInput`, naming
+    /// the flag that would), no reachable fleet node, or a filesystem
+    /// error opening the cache or journal — each prefixed with what
+    /// failed. *Corrupt* cache entries and journal lines are skipped and
+    /// counted, not errors.
+    pub fn open(options: RunOptions) -> io::Result<Opened> {
+        fn context(what: String) -> impl FnOnce(io::Error) -> io::Error {
+            move |e| io::Error::new(e.kind(), format!("{what}: {e}"))
+        }
+        let needs = options
+            .faults
+            .as_ref()
+            .map_or(Reach::InProcess, |p| p.needs());
+        if needs > options.dispatch.reach() {
+            let message = if needs == Reach::Fleet {
+                "fault plan injects drop/partition/slowlink/truncframe network faults, \
+                 which exist only at the fleet transport; rerun with --fleet ADDR,... \
+                 (plus --isolate)"
+            } else {
+                "fault plan injects abort/hang/bigalloc faults, which take the whole \
+                 process down; rerun with --isolate to contain them in worker processes"
+            };
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+        }
+        let mut harness = Harness::configured(&options);
+        let fleet = match options.dispatch {
+            Dispatch::InProcess => None,
+            Dispatch::Isolated(config) => {
+                harness.enable_isolation(config);
+                None
+            }
+            Dispatch::Fleet(config) => {
+                let fleet = Arc::new(Fleet::connect(config).map_err(context("fleet".into()))?);
+                harness.attach(Arc::clone(&fleet) as _);
+                Some(fleet)
+            }
+        };
+        let cache = match &options.cache {
+            Some(dir) => {
+                let cache =
+                    ResultCache::open(dir).map_err(context(format!("cache {}", dir.display())))?;
+                let summary = cache.scan();
+                harness.disk_cache = Some(cache);
+                Some(summary)
+            }
+            None => None,
+        };
+        let journal = match &options.journal {
+            Some(path) => Some(
+                harness
+                    .replay_journal(path)
+                    .map_err(context(format!("journal {}", path.display())))?,
+            ),
+            None => None,
+        };
+        Ok(Opened {
+            harness,
+            fleet,
+            cache,
+            journal,
+        })
+    }
+
+    /// The process-wide default-options harness behind the registry's
+    /// convenience calls, sharing traces and cells across experiments.
+    /// Nothing configures it; a run that needs options builds its own
+    /// with [`open`](Self::open). Its locks recover from poisoning, so a
+    /// panicking cell in one experiment never bricks the instance.
     pub fn global() -> &'static Harness {
         static GLOBAL: OnceLock<Harness> = OnceLock::new();
         GLOBAL.get_or_init(Harness::new)
@@ -308,23 +474,24 @@ impl Harness {
     /// Current cache and fault counters (worker and fleet counters folded
     /// in from the attached executor, if any).
     pub fn stats(&self) -> HarnessStats {
+        let c = &self.counters;
         let mut stats = HarnessStats {
-            traces_generated: self.traces_generated.load(Ordering::Relaxed),
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            traces_shared: self.traces_shared.load(Ordering::Relaxed),
-            cells_simulated: self.cells_simulated.load(Ordering::Relaxed),
-            cells_batched: self.cells_batched.load(Ordering::Relaxed),
-            cell_hits: self.cell_hits.load(Ordering::Relaxed),
-            cells_shared: self.cells_shared.load(Ordering::Relaxed),
-            cells_failed: self.cells_failed.load(Ordering::Relaxed),
-            cell_retries: self.cell_retries.load(Ordering::Relaxed),
-            cell_timeouts: self.cell_timeouts.load(Ordering::Relaxed),
-            journal_restored: self.journal_restored.load(Ordering::Relaxed),
-            journal_corrupt_lines: self.journal_corrupt_lines.load(Ordering::Relaxed),
-            remote_cache_hits: self.remote_cache_hits.load(Ordering::Relaxed),
+            traces_generated: c.traces_generated.load(Ordering::Relaxed),
+            trace_hits: c.trace_hits.load(Ordering::Relaxed),
+            traces_shared: c.traces_shared.load(Ordering::Relaxed),
+            cells_simulated: c.cells_simulated.load(Ordering::Relaxed),
+            cells_batched: c.cells_batched.load(Ordering::Relaxed),
+            cell_hits: c.cell_hits.load(Ordering::Relaxed),
+            cells_shared: c.cells_shared.load(Ordering::Relaxed),
+            cells_failed: c.cells_failed.load(Ordering::Relaxed),
+            cell_retries: c.cell_retries.load(Ordering::Relaxed),
+            cell_timeouts: c.cell_timeouts.load(Ordering::Relaxed),
+            journal_restored: c.journal_restored.load(Ordering::Relaxed),
+            journal_corrupt_lines: c.journal_corrupt_lines.load(Ordering::Relaxed),
+            remote_cache_hits: c.remote_cache_hits.load(Ordering::Relaxed),
             ..HarnessStats::default()
         };
-        if let Some(executor) = lock(&self.executor).as_deref() {
+        if let Some(executor) = self.executor.get() {
             executor.fold_stats(&mut stats);
         }
         stats
@@ -333,156 +500,115 @@ impl Harness {
     /// Per-node fleet health states (addr, state name), empty when no
     /// fleet is attached — the `/metrics` health gauge family.
     pub fn fleet_node_health(&self) -> Vec<(String, &'static str)> {
-        lock(&self.executor)
-            .as_deref()
-            .map(Executor::node_health)
+        self.executor
+            .get()
+            .map(|executor| executor.node_health())
             .unwrap_or_default()
     }
 
-    /// Routes all subsequent cell computes through a supervised pool of
-    /// worker processes (see [`crate::supervisor`]): panics, aborts, and
-    /// runaway loops cost one worker, not this process, and the per-cell
-    /// budget becomes a hard SIGKILL deadline instead of a cooperative
+    /// Routes every cell compute through a supervised pool of worker
+    /// processes (see [`crate::supervisor`]): panics, aborts, and runaway
+    /// loops cost one worker, not this process, and the per-cell budget
+    /// becomes a hard SIGKILL deadline instead of a cooperative
     /// cancellation. Caching, retries, journaling, and result ordering
-    /// are unchanged. Replaces any executor attached before.
+    /// are unchanged. [`open`](Self::open) calls this for
+    /// [`Dispatch::Isolated`]; call it directly only on a fresh harness,
+    /// before its first cell.
+    ///
+    /// # Panics
+    ///
+    /// When the harness already has an executor.
     pub fn enable_isolation(&self, config: SupervisorConfig) -> Arc<Supervisor> {
         let supervisor = Arc::new(Supervisor::new(config));
-        *lock(&self.executor) = Some(Arc::clone(&supervisor) as _);
+        self.attach(Arc::clone(&supervisor) as _);
         supervisor
     }
 
-    /// Whether cell computes currently run in local worker processes.
-    pub fn isolation_enabled(&self) -> bool {
-        self.executor_reach() == Reach::Process
+    /// Attaches the executor every cell compute runs on: the one attach
+    /// path for worker pools, fleets and test executors.
+    fn attach(&self, executor: Arc<dyn Executor + Send + Sync>) {
+        assert!(
+            self.executor.set(executor).is_ok(),
+            "a harness's executor is attached once, when the harness is built"
+        );
     }
 
-    /// Routes all subsequent cell computes to a TCP fleet of worker
-    /// daemons (see [`crate::fleet`]): every way a node can vanish —
-    /// killed process, severed link, silent partition, corrupt frame —
-    /// becomes a retryable [`CellError::Crashed`] and the cell is
-    /// re-dispatched elsewhere, so node loss never fails a run. Caching,
-    /// retries, journaling, and result ordering are unchanged. Replaces
-    /// any executor attached before.
-    ///
-    /// # Errors
-    ///
-    /// Fails only when *no* configured node is reachable.
-    pub fn enable_fleet(&self, config: FleetConfig) -> io::Result<Arc<Fleet>> {
-        let fleet = Arc::new(Fleet::connect(config)?);
-        *lock(&self.executor) = Some(Arc::clone(&fleet) as _);
-        Ok(fleet)
+    /// How far from this process the harness runs its cells.
+    fn reach(&self) -> Reach {
+        self.executor
+            .get()
+            .map_or(Reach::InProcess, |executor| executor.reach())
     }
 
-    /// Whether cell computes are currently dispatched to a fleet.
-    pub fn fleet_enabled(&self) -> bool {
-        self.executor_reach() == Reach::Fleet
-    }
-
-    /// Attaches `executor` for every subsequent cell compute.
-    #[cfg(test)]
-    pub(crate) fn set_executor(&self, executor: Arc<dyn Executor + Send + Sync>) {
-        *lock(&self.executor) = Some(executor);
-    }
-
-    fn executor_reach(&self) -> Reach {
-        lock(&self.executor)
-            .as_deref()
-            .map_or(Reach::InProcess, Executor::reach)
-    }
-
-    /// Attaches the shared on-disk result cache at `dir`: every cell
-    /// compute first consults it (a verified hit skips simulation
-    /// entirely, local or remote) and every completed cell is persisted
-    /// to it atomically. Returns what a scan of the directory found, for
-    /// startup reporting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the failure to create or open the directory; *corrupt
-    /// entries* are skipped and counted, not errors.
-    pub fn attach_cache(&self, dir: &Path) -> io::Result<CacheSummary> {
-        let cache = ResultCache::open(dir)?;
-        let summary = cache.scan();
-        *lock(&self.disk_cache) = Some(Arc::new(cache));
-        Ok(summary)
-    }
-
-    /// Installs (or clears) a deterministic fault-injection plan. Fires
-    /// only on cells that actually *compute*; cached cells never fault.
-    pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *lock(&self.faults) = plan.map(Arc::new);
-    }
-
-    /// Enables or disables the lockstep batch pass (on by default).
-    /// Results are byte-identical either way — turning it off trades the
-    /// shared-walk speedup for per-cell scheduling, and exists so a
-    /// suspected batching miscompare can be bisected against solo runs
-    /// (`--batch=off` on `fdip exp` / `exp_all`).
-    pub fn set_batching(&self, on: bool) {
-        self.batch_off.store(!on, Ordering::Relaxed);
-    }
-
-    /// Whether [`run_matrix`](Self::run_matrix) may use the lockstep
-    /// batch pass. Fault plans, isolation, and cell budgets additionally
-    /// suspend it per matrix without clearing this flag.
-    pub fn batching_enabled(&self) -> bool {
-        !self.batch_off.load(Ordering::Relaxed)
-    }
-
-    /// Replaces the retry policy applied to every subsequent cell compute.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *lock(&self.retry) = policy;
-    }
-
-    /// The retry policy currently in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *lock(&self.retry)
-    }
-
-    /// Attaches a cell journal at `path`: existing valid entries are
-    /// preloaded into the cell cache (so they will not be re-simulated),
-    /// and every cell completed from now on is appended and flushed.
-    ///
-    /// Returns how many cells were restored and how many corrupt lines
-    /// were skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from reading or opening the journal;
-    /// *corrupt contents* are skipped, not errors.
-    pub fn attach_journal(&self, path: &Path) -> io::Result<JournalSummary> {
-        let replay = journal::read_entries(path)?;
-        let mut restored = 0usize;
-        {
-            let mut cells = lock(&self.cells);
-            for entry in replay.entries {
-                let slot = cells
-                    .entry((entry.workload, entry.trace_len, entry.config))
-                    .or_default()
-                    .clone();
-                let mut state = lock(&slot.state);
-                if matches!(*state, CellState::Idle) {
-                    *state = CellState::Done(Arc::new(entry.stats));
-                    restored += 1;
-                }
+    /// The end-of-run report: the `harness:` counter line, plus the
+    /// `isolation:` or `fleet:` line when cells left the process.
+    pub fn summary(&self) -> String {
+        let stats = self.stats();
+        let mut out = format!(
+            "harness: {} traces generated ({} shared), {} cells simulated \
+             ({} batched, {} hits, {} restored from journal), {} retries, {} timeouts, {} failed\n",
+            stats.traces_generated,
+            stats.traces_shared,
+            stats.cells_simulated,
+            stats.cells_batched,
+            stats.cell_hits,
+            stats.journal_restored,
+            stats.cell_retries,
+            stats.cell_timeouts,
+            stats.cells_failed,
+        );
+        match self.reach() {
+            Reach::InProcess => {}
+            Reach::Process => {
+                out += &format!(
+                    "isolation: {} worker restart(s), {} kill(s), {} crash-loop pause(s)\n",
+                    stats.worker_restarts, stats.worker_kills, stats.worker_crash_loops,
+                );
+            }
+            Reach::Fleet => {
+                out += &format!(
+                    "fleet: {} worker seat(s), {} node loss(es), {} cell(s) re-dispatched, \
+                     {} remote cache hit(s), {} readmission(s)\n",
+                    stats.fleet_workers,
+                    stats.node_losses,
+                    stats.cells_redispatched,
+                    stats.remote_cache_hits,
+                    stats.node_readmissions,
+                );
             }
         }
-        self.journal_restored
+        out
+    }
+
+    /// Preloads every valid entry of the journal at `path` into the cell
+    /// cache (so it will not be re-simulated), then opens the journal for
+    /// appending every cell completed from now on.
+    fn replay_journal(&mut self, path: &Path) -> io::Result<JournalSummary> {
+        let replay = journal::read_entries(path)?;
+        let cells = self.cells.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let mut restored = 0usize;
+        for entry in replay.entries {
+            let key = (entry.workload, entry.trace_len, entry.config);
+            if let std::collections::hash_map::Entry::Vacant(slot) = cells.entry(key) {
+                slot.insert(Arc::new(CellSlot {
+                    state: Mutex::new(CellState::Done(Arc::new(entry.stats))),
+                    done: Condvar::new(),
+                }));
+                restored += 1;
+            }
+        }
+        self.counters
+            .journal_restored
             .fetch_add(restored as u64, Ordering::Relaxed);
-        self.journal_corrupt_lines
+        self.counters
+            .journal_corrupt_lines
             .fetch_add(replay.corrupt as u64, Ordering::Relaxed);
-        *lock(&self.journal) = Some(Arc::new(Journal::open_append(path)?));
+        self.journal = Some(Journal::open_append(path)?);
         Ok(JournalSummary {
             restored,
             skipped: replay.skipped,
             corrupt: replay.corrupt,
         })
-    }
-
-    /// Detaches the journal; subsequent completions are no longer
-    /// recorded. Already-preloaded cells stay cached.
-    pub fn detach_journal(&self) {
-        *lock(&self.journal) = None;
     }
 
     /// The trace for `spec` at `trace_len`, generating it on first request
@@ -513,11 +639,11 @@ impl Harness {
             })
         });
         let counter = if computed {
-            &self.traces_generated
+            &self.counters.traces_generated
         } else if finished_before {
-            &self.trace_hits
+            &self.counters.trace_hits
         } else {
-            &self.traces_shared
+            &self.counters.traces_shared
         };
         counter.fetch_add(1, Ordering::Relaxed);
         Arc::clone(entry)
@@ -551,9 +677,9 @@ impl Harness {
                         let stats = Arc::clone(stats);
                         drop(state);
                         let counter = if waited {
-                            &self.cells_shared
+                            &self.counters.cells_shared
                         } else {
-                            &self.cell_hits
+                            &self.counters.cell_hits
                         };
                         counter.fetch_add(1, Ordering::Relaxed);
                         let entry = self.trace(spec, trace_len);
@@ -579,50 +705,43 @@ impl Harness {
         // settles it without simulating — this is how a restarted server
         // is warm from request one and a second fleet run simulates zero
         // cells.
-        if let Some(cache) = lock(&self.disk_cache).clone() {
+        if let Some(cache) = &self.disk_cache {
             if let CacheLookup::Hit(stats) = cache.lookup(&spec.name, trace_len, &fingerprint) {
                 let stats: Arc<SimStats> = Arc::new(*stats);
                 *lock(&slot.state) = CellState::Done(Arc::clone(&stats));
                 slot.done.notify_all();
-                self.remote_cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.cell_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .remote_cache_hits
+                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.cell_hits.fetch_add(1, Ordering::Relaxed);
                 let entry = self.trace(spec, trace_len);
                 return Ok((entry, stats));
             }
         }
         match self.compute_cell(spec, trace_len, label, config, &fingerprint) {
             Ok((entry, stats)) => {
-                let journal = lock(&self.journal).clone();
-                self.publish(
-                    &slot,
-                    journal.as_deref(),
-                    spec,
-                    trace_len,
-                    fingerprint,
-                    &stats,
-                );
+                self.publish(&slot, spec, trace_len, fingerprint, &stats);
                 Ok((entry, stats))
             }
             Err(error) => {
                 *lock(&slot.state) = CellState::Idle;
                 slot.done.notify_all();
                 if matches!(error, CellError::Timeout { .. }) {
-                    self.cell_timeouts.fetch_add(1, Ordering::Relaxed);
+                    self.counters.cell_timeouts.fetch_add(1, Ordering::Relaxed);
                 }
-                self.cells_failed.fetch_add(1, Ordering::Relaxed);
+                self.counters.cells_failed.fetch_add(1, Ordering::Relaxed);
                 Err(error)
             }
         }
     }
 
     /// Publishes one freshly simulated cell: its slot turns `Done` (waking
-    /// waiters), and the result is appended to `journal` and the attached
-    /// disk cache. Persistence failures degrade to warnings — the result
+    /// waiters), and the result is appended to the journal and the disk
+    /// cache. Persistence failures degrade to warnings — the result
     /// is already in memory; only resumes and warm restarts lose out.
     fn publish(
         &self,
         slot: &CellSlot,
-        journal: Option<&Journal>,
         spec: &WorkloadSpec,
         trace_len: usize,
         fingerprint: String,
@@ -630,14 +749,16 @@ impl Harness {
     ) {
         *lock(&slot.state) = CellState::Done(Arc::clone(stats));
         slot.done.notify_all();
-        self.cells_simulated.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .cells_simulated
+            .fetch_add(1, Ordering::Relaxed);
         let record = JournalEntry {
             workload: spec.name.clone(),
             trace_len,
             config: fingerprint,
             stats: (**stats).clone(),
         };
-        if let Some(journal) = journal {
+        if let Some(journal) = &self.journal {
             if let Err(err) = journal.append(&record) {
                 eprintln!(
                     "warning: journal append to {} failed: {err}",
@@ -645,7 +766,7 @@ impl Harness {
                 );
             }
         }
-        if let Some(cache) = lock(&self.disk_cache).clone() {
+        if let Some(cache) = &self.disk_cache {
             if let Err(err) = cache.store(&record) {
                 eprintln!(
                     "warning: cell cache store to {} failed: {err}",
@@ -667,15 +788,14 @@ impl Harness {
         config: &FrontendConfig,
         fingerprint: &str,
     ) -> Result<(Arc<TraceEntry>, Arc<SimStats>), CellError> {
-        let retry = self.retry_policy();
-        let plan = lock(&self.faults).clone();
-        let attached = lock(&self.executor).clone();
+        let retry = self.retry;
+        let plan = self.faults.as_deref();
         let local = InProcess::new(self);
-        let executor: &dyn Executor = match attached.as_deref() {
-            Some(executor) => executor,
+        let executor: &dyn Executor = match self.executor.get() {
+            Some(executor) => executor.as_ref(),
             None => &local,
         };
-        let seed = plan.as_ref().map_or(0, |p| p.seed());
+        let seed = plan.map_or(0, FaultPlan::seed);
         let jitter_key =
             splitmix64(fnv1a(&spec.name) ^ fnv1a(fingerprint) ^ (trace_len as u64) ^ seed);
         let max_attempts = retry.max_attempts.max(1);
@@ -685,7 +805,7 @@ impl Harness {
         };
         for attempt in 1..=max_attempts {
             if attempt > 1 {
-                self.cell_retries.fetch_add(1, Ordering::Relaxed);
+                self.counters.cell_retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(retry.backoff_before(attempt, jitter_key));
             }
             let cell = CellRun {
@@ -696,7 +816,7 @@ impl Harness {
                 budget: retry.cell_budget,
                 attempt,
             };
-            match exec::attempt(executor, &cell, plan.as_deref()) {
+            match exec::attempt(executor, &cell, plan) {
                 Ok(stats) => {
                     // The in-process executor kept the entry it simulated
                     // over; any other one simulated elsewhere, so the
@@ -729,8 +849,8 @@ impl Harness {
     /// (faults are per-cell attempts), an attached executor (cells run
     /// out of process), or a cell wall-clock budget (cancellation is
     /// not plumbed through the lockstep loop) each suspend the pass, as
-    /// does [`set_batching`](Self::set_batching)`(false)` or a
-    /// single-config matrix (nothing to share).
+    /// does [`RunOptions::batching`] off or a single-config matrix
+    /// (nothing to share).
     fn batch_pass(
         &self,
         workloads: &[WorkloadSpec],
@@ -740,11 +860,11 @@ impl Harness {
     ) -> Vec<Option<RunResult>> {
         let mut out: Vec<Option<RunResult>> = Vec::new();
         out.resize_with(workloads.len() * configs.len(), || None);
-        if !self.batching_enabled()
+        if !self.batching
             || configs.len() < 2
-            || lock(&self.faults).is_some()
-            || lock(&self.executor).is_some()
-            || self.retry_policy().cell_budget.is_some()
+            || self.faults.is_some()
+            || self.executor.get().is_some()
+            || self.retry.cell_budget.is_some()
         {
             return out;
         }
@@ -802,14 +922,16 @@ impl Harness {
             if matches!(*state, CellState::Idle) {
                 // The disk cache settles claims here too; the per-cell
                 // scheduler then serves the slot as an ordinary hit.
-                if let Some(cache) = lock(&self.disk_cache).clone() {
+                if let Some(cache) = &self.disk_cache {
                     if let CacheLookup::Hit(stats) =
                         cache.lookup(&spec.name, trace_len, &fingerprint)
                     {
                         *state = CellState::Done(Arc::new(*stats));
                         drop(state);
                         slot.done.notify_all();
-                        self.remote_cache_hits.fetch_add(1, Ordering::Relaxed);
+                        self.counters
+                            .remote_cache_hits
+                            .fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                 }
@@ -845,18 +967,10 @@ impl Harness {
             }
             return;
         };
-        let journal = lock(&self.journal).clone();
         for ((c, slot, fingerprint), stats) in claimed.into_iter().zip(batch_stats) {
             let stats = Arc::new(stats);
-            self.publish(
-                &slot,
-                journal.as_deref(),
-                spec,
-                trace_len,
-                fingerprint,
-                &stats,
-            );
-            self.cells_batched.fetch_add(1, Ordering::Relaxed);
+            self.publish(&slot, spec, trace_len, fingerprint, &stats);
+            self.counters.cells_batched.fetch_add(1, Ordering::Relaxed);
             out[c] = Some(RunResult {
                 workload: spec.name.clone(),
                 config: configs[c].0.clone(),
@@ -892,9 +1006,9 @@ impl Harness {
             .unwrap_or_else(|| {
                 // Out of process, one dispatching thread per worker seat
                 // saturates the executor; more would only queue on it.
-                lock(&self.executor)
-                    .as_deref()
-                    .map_or_else(exec::local_parallelism, Executor::workers)
+                self.executor
+                    .get()
+                    .map_or_else(exec::local_parallelism, |executor| executor.workers())
             })
             .min(total.max(1));
 
@@ -1106,6 +1220,27 @@ mod tests {
         }
     }
 
+    /// A harness retrying under `retry` with the fault plan `spec`.
+    fn faulty(retry: RetryPolicy, spec: &str) -> Harness {
+        open(RunOptions {
+            retry,
+            faults: Some(Arc::new(FaultPlan::parse(spec).unwrap())),
+            ..RunOptions::default()
+        })
+    }
+
+    fn open(options: RunOptions) -> Harness {
+        Harness::open(options).unwrap().harness
+    }
+
+    fn journaled(path: &Path) -> Opened {
+        Harness::open(RunOptions {
+            journal: Some(path.to_path_buf()),
+            ..RunOptions::default()
+        })
+        .unwrap()
+    }
+
     fn temp_journal(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
@@ -1236,9 +1371,7 @@ mod tests {
 
     #[test]
     fn injected_panic_is_isolated_to_its_cell() {
-        let harness = Harness::new();
-        harness.set_retry_policy(eager_retry(2));
-        harness.set_fault_plan(Some(FaultPlan::parse("panic@client-1/fdip").unwrap()));
+        let harness = faulty(eager_retry(2), "panic@client-1/fdip");
         let workloads = suite(SuiteKind::Client, Scale::quick());
         let results = harness.run_matrix(&workloads, LEN, &configs());
 
@@ -1258,9 +1391,7 @@ mod tests {
 
     #[test]
     fn transient_fault_retries_to_the_fault_free_value() {
-        let harness = Harness::new();
-        harness.set_retry_policy(eager_retry(3));
-        harness.set_fault_plan(Some(FaultPlan::parse("transient@client-1/base:2").unwrap()));
+        let harness = faulty(eager_retry(3), "transient@client-1/base:2");
         let workloads = suite(SuiteKind::Client, Scale::quick());
         let faulty = harness.run_matrix(&workloads, LEN, &configs());
         let st = harness.stats();
@@ -1276,13 +1407,14 @@ mod tests {
 
     #[test]
     fn slow_cell_times_out_against_its_budget_without_retry() {
-        let harness = Harness::new();
-        harness.set_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-            cell_budget: Some(Duration::from_millis(30)),
-        });
-        harness.set_fault_plan(Some(FaultPlan::parse("slow@client-1/base:10000").unwrap()));
+        let harness = faulty(
+            RetryPolicy {
+                max_attempts: 3,
+                backoff: Duration::ZERO,
+                cell_budget: Some(Duration::from_millis(30)),
+            },
+            "slow@client-1/base:10000",
+        );
         let workloads = suite(SuiteKind::Client, Scale::quick());
         let results = harness.run_matrix(&workloads, LEN, &configs());
         let err = results.try_cell("client-1", "base").unwrap_err();
@@ -1298,9 +1430,7 @@ mod tests {
 
     #[test]
     fn failed_cells_are_not_cached_and_recover_on_rerun() {
-        let harness = Harness::new();
-        harness.set_retry_policy(eager_retry(1));
-        harness.set_fault_plan(Some(FaultPlan::parse("panic@client-1/base:1").unwrap()));
+        let harness = faulty(eager_retry(1), "panic@client-1/base:1");
         let workloads = suite(SuiteKind::Client, Scale::quick());
         let first = harness.run_matrix(&workloads, LEN, &configs());
         assert!(first.try_cell("client-1", "base").is_err());
@@ -1349,20 +1479,19 @@ mod tests {
         let path = temp_journal("resume");
         let workloads = suite(SuiteKind::Client, Scale::quick());
 
-        let first = Harness::new();
-        let summary = first.attach_journal(&path).unwrap();
-        assert_eq!(summary, JournalSummary::default());
-        let a = first.run_matrix(&workloads, LEN, &configs());
-        assert_eq!(first.stats().cells_simulated, 2);
+        let first = journaled(&path);
+        assert_eq!(first.journal, Some(JournalSummary::default()));
+        let a = first.harness.run_matrix(&workloads, LEN, &configs());
+        assert_eq!(first.harness.stats().cells_simulated, 2);
 
         // A "restarted" harness attaches the same journal: every cell is
         // preloaded, zero cells simulate, output is byte-identical.
-        let second = Harness::new();
-        let summary = second.attach_journal(&path).unwrap();
+        let second = journaled(&path);
+        let summary = second.journal.unwrap();
         assert_eq!(summary.restored, 2);
         assert_eq!(summary.skipped, 0);
-        let b = second.run_matrix(&workloads, LEN, &configs());
-        let st = second.stats();
+        let b = second.harness.run_matrix(&workloads, LEN, &configs());
+        let st = second.harness.stats();
         assert_eq!(st.cells_simulated, 0, "{st:?}");
         assert_eq!(st.journal_restored, 2, "{st:?}");
         assert_eq!(st.cell_hits, 2, "{st:?}");
@@ -1373,6 +1502,52 @@ mod tests {
                 fdip_types::ToJson::to_json(y).to_string()
             );
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_refuses_faults_its_dispatch_cannot_realise_and_reports_what_it_attached() {
+        let attempt = |spec: &str, dispatch: Dispatch| {
+            Harness::open(RunOptions {
+                faults: Some(Arc::new(FaultPlan::parse(spec).unwrap())),
+                dispatch,
+                ..RunOptions::default()
+            })
+        };
+        let isolated = || Dispatch::Isolated(SupervisorConfig::default());
+        for (spec, dispatch, needle) in [
+            ("abort@w/c", Dispatch::InProcess, "rerun with --isolate"),
+            ("drop@w/c", Dispatch::InProcess, "rerun with --fleet"),
+            ("panic@w/c,truncframe@w/c", isolated(), "rerun with --fleet"),
+        ] {
+            let err = attempt(spec, dispatch).err().expect(spec);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{spec}");
+            assert!(err.to_string().contains(needle), "{spec}: {err}");
+        }
+        // Workers spawn on first dispatch, so opening an isolated harness
+        // starts no process.
+        let opened = attempt("seed=3,hang@w/c", isolated()).unwrap();
+        let lines = opened.startup_lines();
+        assert!(
+            lines.contains("worker process(es), cell budget unbounded"),
+            "{lines}"
+        );
+        assert!(lines.contains("fault plan: 1 site(s), seed 3"), "{lines}");
+        assert!(opened.harness.summary().contains("0 worker restart(s)"));
+
+        let path = temp_journal("startup");
+        let opened = journaled(&path);
+        let lines = opened.startup_lines();
+        assert_eq!(
+            lines,
+            "journal: restored 0 cell(s), skipped 0 line(s), 0 corrupt\n"
+        );
+        let summary = opened.harness.summary();
+        assert!(
+            summary.starts_with("harness: 0 traces generated"),
+            "{summary}"
+        );
+        assert_eq!(summary.lines().count(), 1, "{summary}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1401,8 +1576,10 @@ mod tests {
         assert_eq!(bst.cells_batched, 3, "{bst:?}");
         assert_eq!(bst.cells_simulated, 3, "{bst:?}");
 
-        let solo = Harness::new();
-        solo.set_batching(false);
+        let solo = open(RunOptions {
+            batching: false,
+            ..RunOptions::default()
+        });
         let b = solo.run_matrix(&workloads, LEN, &configs);
         let sst = solo.stats();
         assert_eq!(sst.cells_batched, 0, "{sst:?}");
@@ -1425,9 +1602,7 @@ mod tests {
 
     #[test]
     fn fault_plan_suspends_the_batch_pass() {
-        let harness = Harness::new();
-        harness.set_retry_policy(eager_retry(3));
-        harness.set_fault_plan(Some(FaultPlan::parse("transient@client-1/base:1").unwrap()));
+        let harness = faulty(eager_retry(3), "transient@client-1/base:1");
         let workloads = suite(SuiteKind::Client, Scale::quick());
         let results = harness.run_matrix(&workloads, LEN, &configs());
         // Every cell went through the per-cell path, where the fault hook
@@ -1493,7 +1668,15 @@ mod tests {
     #[test]
     fn retries_through_any_executor_count_back_off_and_journal_once() {
         let path = temp_journal("scripted");
-        let harness = Harness::new();
+        let harness = open(RunOptions {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff: Duration::from_millis(10),
+                cell_budget: None,
+            },
+            journal: Some(path.clone()),
+            ..RunOptions::default()
+        });
         let script = Scripted::new(vec![
             Err(crashed(1)),
             Err(CellError::Transient {
@@ -1502,13 +1685,7 @@ mod tests {
             }),
             Ok(canned()),
         ]);
-        harness.set_executor(script.clone());
-        harness.set_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(10),
-            cell_budget: None,
-        });
-        harness.attach_journal(&path).unwrap();
+        harness.attach(script.clone());
         let workloads = &suite(SuiteKind::Client, Scale::quick())[..1];
         let base = &configs()[..1];
 
@@ -1531,7 +1708,7 @@ mod tests {
         harness.run_matrix(workloads, LEN, base);
         assert_eq!(harness.stats().cell_hits, 1);
         assert_eq!(lock(&script.attempts).len(), 3);
-        harness.detach_journal();
+        drop(harness);
         assert_eq!(journal::read_entries(&path).unwrap().entries.len(), 1);
         std::fs::remove_file(&path).ok();
     }
@@ -1539,16 +1716,18 @@ mod tests {
     #[test]
     fn terminal_and_exhausted_failures_are_counted_never_cached_or_journaled() {
         let path = temp_journal("scripted-fail");
-        let harness = Harness::new();
+        let harness = open(RunOptions {
+            retry: eager_retry(2),
+            journal: Some(path.clone()),
+            ..RunOptions::default()
+        });
         let script = Scripted::new(vec![
             Err(CellError::Timeout { budget_ms: 5 }),
             Err(crashed(1)),
             Err(crashed(2)),
             Ok(canned()),
         ]);
-        harness.set_executor(script.clone());
-        harness.set_retry_policy(eager_retry(2));
-        harness.attach_journal(&path).unwrap();
+        harness.attach(script.clone());
         let workloads = &suite(SuiteKind::Client, Scale::quick())[..1];
         let base = &configs()[..1];
 
@@ -1579,7 +1758,7 @@ mod tests {
         let third = harness.run_matrix(workloads, LEN, base);
         assert_eq!(third[0].stats, canned());
         assert_eq!(harness.stats().cells_simulated, 1);
-        harness.detach_journal();
+        drop(harness);
         assert_eq!(journal::read_entries(&path).unwrap().entries.len(), 1);
         std::fs::remove_file(&path).ok();
     }

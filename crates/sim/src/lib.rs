@@ -7,6 +7,9 @@
 //! * [`harness`] — the shared execution engine: a process-wide trace
 //!   store, a content-keyed cell cache, and a cell-granular deterministic
 //!   scheduler with panic isolation and retry (see [`fault`]);
+//! * [`options`] — [`options::RunOptions`], the one value that configures
+//!   a harness when [`harness::Harness::open`] builds it, and the shared
+//!   `fdip exp` / `exp_all` flag parser;
 //! * [`fault`] — the cell error taxonomy, retry policy, and deterministic
 //!   fault injection ([`fault::FaultPlan`]);
 //! * [`journal`] — the crash-tolerant, CRC-framed completed-cell journal
@@ -62,6 +65,7 @@ pub mod harness;
 pub mod ipc;
 pub mod journal;
 pub mod net;
+pub mod options;
 pub mod persist;
 pub mod report;
 pub mod runner;

@@ -35,6 +35,16 @@ impl Scale {
         }
     }
 
+    /// The scale a `--quick` / `--medium` / `--full` flag names.
+    pub fn from_flag(flag: &str) -> Option<Scale> {
+        match flag {
+            "--quick" => Some(Scale::quick()),
+            "--medium" => Some(Scale::medium()),
+            "--full" => Some(Scale::full()),
+            _ => None,
+        }
+    }
+
     /// Parses `--quick` / `--medium` / `--full` style argv, defaulting to
     /// full (benchmark binaries use this). The first scale flag wins, as
     /// before, but every argument is still inspected: an unrecognized
@@ -50,14 +60,10 @@ impl Scale {
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Scale, ScaleArgError> {
         let mut chosen: Option<Scale> = None;
         for arg in args {
-            match arg.as_str() {
-                "--quick" => chosen = chosen.or(Some(Scale::quick())),
-                "--medium" => chosen = chosen.or(Some(Scale::medium())),
-                "--full" => chosen = chosen.or(Some(Scale::full())),
-                flag if flag.starts_with("--") => {
-                    return Err(ScaleArgError { flag: arg });
-                }
-                _ => {}
+            match Scale::from_flag(&arg) {
+                Some(scale) => chosen = chosen.or(Some(scale)),
+                None if arg.starts_with("--") => return Err(ScaleArgError { flag: arg }),
+                None => {}
             }
         }
         Ok(chosen.unwrap_or_else(Scale::full))

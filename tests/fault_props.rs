@@ -4,12 +4,13 @@
 //! matrix byte-identical to a fault-free run — fault injection may cost
 //! retries, never correctness.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fdip::{FrontendConfig, PrefetcherKind};
 use fdip_sim::fault::{FaultPlan, RetryPolicy};
 use fdip_sim::harness::Harness;
+use fdip_sim::options::RunOptions;
 use fdip_sim::workload::{suite, SuiteKind};
 use fdip_sim::Scale;
 use fdip_types::ToJson;
@@ -64,13 +65,18 @@ proptest! {
         let shots: u32 = sites.iter().map(|(_, _, _, t)| *t).sum();
 
         let workloads = suite(SuiteKind::Client, Scale::quick());
-        let harness = Harness::with_threads(2);
-        harness.set_retry_policy(RetryPolicy {
-            max_attempts: shots + 1,
-            backoff: Duration::ZERO,
-            cell_budget: None,
-        });
-        harness.set_fault_plan(Some(plan));
+        let harness = Harness::open(RunOptions {
+            threads: Some(2),
+            retry: RetryPolicy {
+                max_attempts: shots + 1,
+                backoff: Duration::ZERO,
+                cell_budget: None,
+            },
+            faults: Some(Arc::new(plan)),
+            ..RunOptions::default()
+        })
+        .unwrap()
+        .harness;
         let got = harness.run_matrix(&workloads, TRACE_LEN, &configs());
 
         let want = reference();

@@ -4,11 +4,13 @@
 //! run killed part-way resumes from its journal without re-simulating
 //! anything — byte-for-byte identical results.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use fdip::{FrontendConfig, PrefetcherKind};
 use fdip_sim::fault::{CellError, FaultPlan, RetryPolicy};
-use fdip_sim::harness::Harness;
+use fdip_sim::harness::{Harness, Opened};
+use fdip_sim::options::RunOptions;
 use fdip_sim::workload::{suite, SuiteKind};
 use fdip_sim::Scale;
 use fdip_types::ToJson;
@@ -33,6 +35,32 @@ fn eager(max_attempts: u32, cell_budget: Option<Duration>) -> RetryPolicy {
     }
 }
 
+/// A two-thread harness running `options`.
+fn open(options: RunOptions) -> Opened {
+    Harness::open(RunOptions {
+        threads: Some(2),
+        ..options
+    })
+    .unwrap()
+}
+
+/// A two-thread harness retrying under `retry` with the fault plan `plan`.
+fn faulty(retry: RetryPolicy, plan: FaultPlan) -> Harness {
+    open(RunOptions {
+        retry,
+        faults: Some(Arc::new(plan)),
+        ..RunOptions::default()
+    })
+    .harness
+}
+
+fn journaled(journal: &std::path::Path) -> Opened {
+    open(RunOptions {
+        journal: Some(journal.to_path_buf()),
+        ..RunOptions::default()
+    })
+}
+
 fn temp_journal(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("fdip-fault-tol-{}-{tag}.jsonl", std::process::id()))
 }
@@ -52,9 +80,7 @@ fn mixed_plan_fails_exactly_the_non_retryable_cells() {
         "panic@{w0}/fdip, slow@{w1}/base:10000, transient@{w0}/base:1, transient@{w1}/fdip:1, seed=7"
     ))
     .unwrap();
-    let faulty = Harness::with_threads(2);
-    faulty.set_retry_policy(eager(3, Some(Duration::from_millis(1500))));
-    faulty.set_fault_plan(Some(plan));
+    let faulty = faulty(eager(3, Some(Duration::from_millis(1500))), plan);
     let got = faulty.run_matrix(&workloads, TRACE_LEN, &configs());
 
     assert_eq!(got.len(), want.len());
@@ -99,9 +125,10 @@ fn mixed_plan_fails_exactly_the_non_retryable_cells() {
 
 #[test]
 fn experiments_render_partial_tables_with_failed_markers() {
-    let harness = Harness::with_threads(2);
-    harness.set_retry_policy(eager(1, None));
-    harness.set_fault_plan(Some(FaultPlan::parse("panic@client-1/fdip").unwrap()));
+    let harness = faulty(
+        eager(1, None),
+        FaultPlan::parse("panic@client-1/fdip").unwrap(),
+    );
     let exp = fdip_sim::experiments::find("e01").unwrap();
     let result = exp.run(&harness, Scale::quick());
     let text = result.to_text();
@@ -122,14 +149,17 @@ fn killed_run_resumes_from_journal_with_byte_identical_results() {
 
     // A first run that "dies" after finishing only the base column: the
     // journal is all that survives (the in-memory caches are dropped).
-    let first = Harness::with_threads(2);
-    first.attach_journal(&journal).unwrap();
+    let first = journaled(&journal).harness;
     let base_only = vec![configs()[0].clone()];
     first.run_matrix(&workloads, TRACE_LEN, &base_only);
     drop(first);
 
-    let resumed = Harness::with_threads(2);
-    let summary = resumed.attach_journal(&journal).unwrap();
+    let Opened {
+        harness: resumed,
+        journal: summary,
+        ..
+    } = journaled(&journal);
+    let summary = summary.unwrap();
     assert_eq!(summary.restored, workloads.len());
     assert_eq!(summary.skipped, 0);
     let got = resumed.run_matrix(&workloads, TRACE_LEN, &configs());

@@ -4,7 +4,8 @@
 //! results across runs — the same guarantees the synthetic suites have.
 
 use fdip::{FrontendConfig, PrefetcherKind};
-use fdip_sim::harness::Harness;
+use fdip_sim::harness::{Harness, Opened};
+use fdip_sim::options::RunOptions;
 use fdip_sim::workload::{program_suite, scenario_suite, WorkloadSpec};
 use fdip_sim::Scale;
 use fdip_trace::{read_binary, write_binary};
@@ -84,16 +85,27 @@ fn real_program_cells_resume_from_journal_byte_identically() {
     let want = reference.run_matrix(&workloads, TRACE_LEN, &configs());
 
     // First run "dies" with only the base column journaled.
-    let first = Harness::with_threads(2);
-    first.attach_journal(&journal).unwrap();
+    let journaled = || {
+        Harness::open(RunOptions {
+            threads: Some(2),
+            journal: Some(journal.clone()),
+            ..RunOptions::default()
+        })
+        .unwrap()
+    };
+    let first = journaled().harness;
     first.run_matrix(&workloads, TRACE_LEN, &[configs()[0].clone()]);
     drop(first);
 
     // The resumed run restores every journaled cell — program and
     // scenario workloads serialize through the journal like synthetic
     // ones — and finishes the rest byte-identically.
-    let resumed = Harness::with_threads(2);
-    let summary = resumed.attach_journal(&journal).unwrap();
+    let Opened {
+        harness: resumed,
+        journal: summary,
+        ..
+    } = journaled();
+    let summary = summary.unwrap();
     assert_eq!(summary.restored, workloads.len());
     assert_eq!(summary.corrupt, 0);
     let got = resumed.run_matrix(&workloads, TRACE_LEN, &configs());
