@@ -27,7 +27,7 @@ fn exit(message: String) -> ! {
 }
 
 fn main() {
-    // Supervisor-spawned worker processes (FDIP_WORKER=1) exit here.
+    // Pool-spawned worker processes (FDIP_WORKER=1) exit here.
     fdip_sim::worker::maybe_worker_entry();
     let RunArgs {
         mut options, scale, ..

@@ -639,7 +639,7 @@ fn cmd_serve(args: &Args) -> CliResult {
     // Validated here, before any connection is dialed.
     let fleet_heartbeat_ms = args
         .get("fleet-heartbeat-ms")
-        .map(fdip_sim::options::parse_heartbeat_ms)
+        .map(|raw| fdip_sim::options::parse_positive_ms("--fleet-heartbeat-ms", raw))
         .transpose()?;
     let config = ServeConfig {
         addr: args.get("addr").unwrap_or(&defaults.addr).to_string(),

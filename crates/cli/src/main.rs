@@ -17,7 +17,7 @@ mod args;
 mod commands;
 
 fn main() -> ExitCode {
-    // Supervisor-spawned worker processes (FDIP_WORKER=1 in the
+    // Pool-spawned worker processes (FDIP_WORKER=1 in the
     // environment) never reach the CLI: they speak framed IPC on
     // stdin/stdout and exit inside this call.
     fdip_sim::worker::maybe_worker_entry();

@@ -1,44 +1,45 @@
 //! Disposable child worker processes: the self-exec spawn, the frame
 //! reader, and every way a child ends.
 //!
-//! Two places run cells in a child process — the local
-//! [`Supervisor`](crate::supervisor::Supervisor) behind `--isolate`, and
-//! the `fdip workerd` daemon ([`crate::fleet::serve_workerd`]) proxying
-//! a fleet connection. Both spawn, read, retire, and classify their
-//! children through this module, so a crash means the same thing (and
-//! reports the same exit evidence) whichever side of a socket it
-//! happened on.
+//! Cells run in a child process on a local [`Pool`](crate::pool::Pool)
+//! seat, both behind `--isolate` and inside the `fdip workerd` daemon
+//! ([`crate::fleet::serve_workerd`]) for each fleet connection. The pool
+//! spawns, reads, retires, and classifies its children through this
+//! module, so a crash means the same thing (and reports the same exit
+//! evidence) whichever side of a socket it happened on.
 //!
 //! A child is the current binary re-executed with
 //! [`WORKER_ENV`](crate::worker::WORKER_ENV) set, speaking the
-//! [`crate::ipc`] frame protocol on stdin/stdout.
+//! [`crate::net`] frame protocol on stdin/stdout. A [`Child`] that is
+//! dropped is killed and reaped, so no path leaves a zombie behind.
 
 use std::io;
-use std::process::{ChildStdin, Command, ExitStatus, Stdio};
+use std::process::{Command, ExitStatus, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::Duration;
 
 use fdip_types::Json;
 
 use crate::fault::CellError;
-use crate::ipc::{read_frame, write_frame};
+use crate::net::{read_frame, write_frame};
 
-/// What the stdout reader thread forwards to the owner.
-pub(crate) enum ChildEvent {
-    /// One frame from the child, undecoded.
+/// What one wait on a worker link brought.
+pub(crate) enum Recv {
+    /// One frame, undecoded.
     Frame(Json),
-    /// Clean EOF: the child exited (or was killed).
-    Eof,
-    /// The pipe broke mid-frame — treated like a crash; classification
-    /// uses the exit status, not the read error.
-    Failed,
+    /// Nothing before the wait ran out; the link is still up.
+    Quiet,
+    /// The link ended: EOF, a broken pipe or socket, or a torn frame.
+    /// Classification uses the exit status, not the read error.
+    Closed,
 }
 
-/// A live child worker: its process, request pipe, and frame stream.
+/// A live child worker: its process (with its request pipe) and frame
+/// stream.
 pub(crate) struct Child {
     process: std::process::Child,
-    stdin: ChildStdin,
-    events: Receiver<ChildEvent>,
+    /// Frames from the stdout reader thread; `None` once the pipe ended.
+    events: Receiver<Option<Json>>,
 }
 
 impl Child {
@@ -58,28 +59,19 @@ impl Child {
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()?;
-        let stdin = process.stdin.take().expect("stdin was piped");
         let mut stdout = process.stdout.take().expect("stdout was piped");
         let (sender, events) = mpsc::channel();
         // Plain pipes have no read timeout, so a dedicated thread blocks on
         // the pipe and the owner waits on the channel, which does. The
         // thread exits with the pipe and is never joined.
         std::thread::spawn(move || loop {
-            let event = match read_frame(&mut stdout) {
-                Ok(Some(frame)) => ChildEvent::Frame(frame),
-                Ok(None) => ChildEvent::Eof,
-                Err(_) => ChildEvent::Failed,
-            };
-            let terminal = !matches!(event, ChildEvent::Frame(_));
-            if sender.send(event).is_err() || terminal {
+            let frame = read_frame(&mut stdout).ok().flatten();
+            let ended = frame.is_none();
+            if sender.send(frame).is_err() || ended {
                 return;
             }
         });
-        Ok(Child {
-            process,
-            stdin,
-            events,
-        })
+        Ok(Child { process, events })
     }
 
     /// Writes one frame to the child's stdin.
@@ -88,12 +80,16 @@ impl Child {
     ///
     /// The pipe is broken: the child died.
     pub(crate) fn send(&mut self, doc: &Json) -> io::Result<()> {
-        write_frame(&mut self.stdin, doc)
+        write_frame(self.process.stdin.as_mut().expect("stdin was piped"), doc)
     }
 
-    /// Waits up to `timeout` for the next event.
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<ChildEvent, RecvTimeoutError> {
-        self.events.recv_timeout(timeout)
+    /// Waits up to `timeout` for the next frame.
+    pub(crate) fn recv(&self, timeout: Duration) -> Recv {
+        match self.events.recv_timeout(timeout) {
+            Ok(Some(frame)) => Recv::Frame(frame),
+            Err(RecvTimeoutError::Timeout) => Recv::Quiet,
+            Ok(None) | Err(RecvTimeoutError::Disconnected) => Recv::Closed,
+        }
     }
 
     /// Discards frames buffered while the child sat idle (a final
@@ -102,10 +98,8 @@ impl Child {
     /// writing into a broken pipe.
     pub(crate) fn drain_idle(&self) -> bool {
         let mut dead = false;
-        while let Ok(event) = self.events.try_recv() {
-            if !matches!(event, ChildEvent::Frame(_)) {
-                dead = true;
-            }
+        while let Ok(frame) = self.events.try_recv() {
+            dead |= frame.is_none();
         }
         dead
     }
@@ -113,50 +107,44 @@ impl Child {
     /// Reaps a child that is already gone (or nearly): SIGKILL is a no-op
     /// on a zombie and does not change its recorded exit status, so this
     /// is safe on every death path.
-    pub(crate) fn reap(self) -> io::Result<ExitStatus> {
-        let mut process = self.process;
-        let _ = process.kill();
-        process.wait()
-    }
-
-    /// SIGKILL and reap, without looking at how it ended.
-    pub(crate) fn kill(self) {
-        let _ = self.reap();
+    pub(crate) fn reap(mut self) -> io::Result<ExitStatus> {
+        let _ = self.process.kill();
+        self.process.wait()
     }
 
     /// Graceful retirement: close stdin (EOF ends the worker loop), give
     /// it a moment, escalate to SIGKILL if it will not leave. Returns
     /// whether the escalation was needed.
-    pub(crate) fn retire(self) -> bool {
-        let Child {
-            mut process, stdin, ..
-        } = self;
-        drop(stdin);
+    pub(crate) fn retire(mut self) -> bool {
+        drop(self.process.stdin.take());
         for _ in 0..50 {
-            match process.try_wait() {
+            match self.process.try_wait() {
                 Ok(Some(_)) => return false,
                 Ok(None) => std::thread::sleep(Duration::from_millis(10)),
                 Err(_) => break,
             }
         }
-        let _ = process.kill();
-        let _ = process.wait();
         true
     }
 }
 
-/// How a child ended: the fatal signal (unix) and the exit code, each
-/// when known; both `None` when the status itself was lost.
-pub(crate) fn exit_evidence(status: &io::Result<ExitStatus>) -> (Option<i32>, Option<i32>) {
-    match status {
-        Ok(status) => (exit_signal(status), status.code()),
-        Err(_) => (None, None),
+impl Drop for Child {
+    /// SIGKILL and reap, without looking at how it ended (a no-op for a
+    /// child already reaped).
+    fn drop(&mut self) {
+        let _ = self.process.kill();
+        let _ = self.process.wait();
     }
 }
 
-/// Classifies a dead child's exit status into [`CellError::Crashed`].
+/// Classifies a dead child's exit status into [`CellError::Crashed`]: the
+/// fatal signal (unix) and the exit code, each when known; both `None`
+/// when the status itself was lost.
 pub(crate) fn crashed(status: &io::Result<ExitStatus>, attempts: u32) -> CellError {
-    let (signal, code) = exit_evidence(status);
+    let (signal, code) = match status {
+        Ok(status) => (exit_signal(status), status.code()),
+        Err(_) => (None, None),
+    };
     CellError::Crashed {
         signal,
         code,

@@ -4,14 +4,14 @@
 //! or on a remote worker daemon — goes through [`attempt`] and one
 //! [`Executor::run`]. The harness keeps scheduling, caching, retries,
 //! journaling, and result ordering; an executor only turns one
-//! [`CellRun`] into statistics or a typed [`CellError`]. Three
+//! [`CellRun`] into statistics or a typed [`CellError`]. Two
 //! implementations exist:
 //!
 //! * [`InProcess`] — `catch_unwind` plus a cooperative [`CancelToken`]
 //!   budget, on the calling thread;
-//! * [`Supervisor`](crate::supervisor::Supervisor) — a pool of worker
-//!   processes over stdin/stdout pipes (`--isolate`);
-//! * [`Fleet`](crate::fleet::Fleet) — worker daemons over TCP (`--fleet`).
+//! * [`Pool`](crate::pool::Pool) — seats holding links to worker
+//!   processes: local children over stdin/stdout pipes (`--isolate`), or
+//!   worker daemons over TCP (`--fleet`).
 //!
 //! Injected faults are classified once ([`crate::fault::classify`]):
 //! logical faults fail the attempt before dispatch, and the rest reach the

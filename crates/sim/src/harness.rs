@@ -91,11 +91,11 @@ use fdip_trace::{Trace, TraceStats};
 use crate::cache::{CacheLookup, CacheSummary, ResultCache};
 use crate::exec::{self, quiet_catch_unwind, CellRun, Executor, InProcess, Reach};
 use crate::fault::{fnv1a, splitmix64, CellError, FaultPlan, RetryPolicy};
-use crate::fleet::Fleet;
 use crate::journal::{self, Journal, JournalEntry, JournalSummary};
 use crate::options::{Dispatch, RunOptions};
+use crate::pool::Pool;
 use crate::runner::RunResult;
-use crate::supervisor::{Supervisor, SupervisorConfig};
+use crate::supervisor::SupervisorConfig;
 use crate::workload::WorkloadSpec;
 
 /// Locks a mutex, recovering from poisoning. Every shared structure in
@@ -154,9 +154,9 @@ pub struct HarnessStats {
     /// Journal lines whose CRC32 frame failed verification (bit rot).
     pub journal_corrupt_lines: u64,
     /// Worker processes respawned into a previously used pool slot
-    /// (isolated mode only; see [`crate::supervisor`]).
+    /// (isolated mode only; see [`crate::pool`]).
     pub worker_restarts: u64,
-    /// Worker processes SIGKILLed by the supervisor (budget preemption or
+    /// Worker processes SIGKILLed by a local pool (budget preemption or
     /// lost heartbeat; isolated mode only).
     pub worker_kills: u64,
     /// Crash-loop backoff pauses taken before respawning a worker
@@ -274,7 +274,7 @@ pub struct Opened {
     /// The harness, configured once and for good.
     pub harness: Harness,
     /// The fleet cells dispatch to, under [`Dispatch::Fleet`].
-    pub fleet: Option<Arc<Fleet>>,
+    pub fleet: Option<Arc<Pool>>,
     /// What a scan of [`RunOptions::cache`] found.
     pub cache: Option<CacheSummary>,
     /// What replaying [`RunOptions::journal`] restored.
@@ -430,7 +430,7 @@ impl Harness {
                 None
             }
             Dispatch::Fleet(config) => {
-                let fleet = Arc::new(Fleet::connect(config).map_err(context("fleet".into()))?);
+                let fleet = Pool::connect(config).map_err(context("fleet".into()))?;
                 harness.attach(Arc::clone(&fleet) as _);
                 Some(fleet)
             }
@@ -506,8 +506,8 @@ impl Harness {
             .unwrap_or_default()
     }
 
-    /// Routes every cell compute through a supervised pool of worker
-    /// processes (see [`crate::supervisor`]): panics, aborts, and runaway
+    /// Routes every cell compute through a local pool of worker
+    /// processes (see [`crate::pool`]): panics, aborts, and runaway
     /// loops cost one worker, not this process, and the per-cell budget
     /// becomes a hard SIGKILL deadline instead of a cooperative
     /// cancellation. Caching, retries, journaling, and result ordering
@@ -518,10 +518,10 @@ impl Harness {
     /// # Panics
     ///
     /// When the harness already has an executor.
-    pub fn enable_isolation(&self, config: SupervisorConfig) -> Arc<Supervisor> {
-        let supervisor = Arc::new(Supervisor::new(config));
-        self.attach(Arc::clone(&supervisor) as _);
-        supervisor
+    pub fn enable_isolation(&self, config: SupervisorConfig) -> Arc<Pool> {
+        let pool = Arc::new(Pool::local(config));
+        self.attach(Arc::clone(&pool) as _);
+        pool
     }
 
     /// Attaches the executor every cell compute runs on: the one attach

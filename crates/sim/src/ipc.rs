@@ -1,19 +1,21 @@
-//! The supervisor ↔ worker wire protocol: length-prefixed JSON frames
-//! over the worker's stdin/stdout, plus the full machine-config codec.
+//! The pool ↔ worker wire protocol: the messages a worker exchanges over
+//! its stdin/stdout (or a daemon over TCP), plus the full machine-config
+//! codec.
 //!
-//! A frame is a 4-byte big-endian length followed by that many bytes of
-//! JSON (the workspace's hand-rolled [`Json`], no external deps). Frames
-//! are bounded by [`MAX_FRAME_BYTES`] on both sides, so a corrupted
-//! length prefix can never drive an unbounded allocation.
+//! Messages travel in [`crate::net`]'s frames: a 4-byte big-endian length
+//! followed by that many bytes of JSON (the workspace's hand-rolled
+//! [`Json`], no external deps), bounded by
+//! [`MAX_FRAME_BYTES`](crate::net::MAX_FRAME_BYTES) on both sides, so a
+//! corrupted length prefix can never drive an unbounded allocation.
 //!
 //! Three message shapes travel the pipe:
 //!
-//! * supervisor → worker: [`RunRequest`] (`op: "run"`) — one cell to
+//! * pool → worker: [`RunRequest`] (`op: "run"`) — one cell to
 //!   simulate: workload, trace length, config, wall-clock budget, and an
 //!   optional injected fault;
-//! * worker → supervisor: [`WorkerReply::Heartbeat`] (`op: "hb"`) on a
-//!   steady timer, so the supervisor can distinguish *slow* from *dead*;
-//! * worker → supervisor: [`WorkerReply::Ok`] / [`WorkerReply::Err`]
+//! * worker → pool: [`WorkerReply::Heartbeat`] (`op: "hb"`) on a
+//!   steady timer, so the pool can distinguish *slow* from *dead*;
+//! * worker → pool: [`WorkerReply::Ok`] / [`WorkerReply::Err`]
 //!   carrying the finished [`SimStats`] or a typed failure.
 //!
 //! The config codec ([`config_to_json`] / [`config_from_json`]) covers
@@ -21,10 +23,8 @@
 //! memory hierarchy, all five prefetchers. Fidelity is load-bearing: the
 //! cell cache and journal key cells by the config's full `Debug`
 //! fingerprint, so a lossy codec would silently fork a cell's identity
-//! between supervisor and worker. `tests` proves the round trip
+//! between pool and worker. `tests` proves the round trip
 //! fingerprint-exact over a battery of representative configs.
-
-use std::io::{self, Read, Write};
 
 use fdip::{
     BtbVariant, CpfMode, FdipConfig, FrontendConfig, PifConfig, PredictorKind, PrefetcherKind,
@@ -36,37 +36,6 @@ use fdip_types::{FromJson, Json, ToJson};
 
 use crate::fault::CellError;
 use crate::workload::{WorkloadSource, WorkloadSpec};
-
-/// Upper bound on one IPC frame. A run request (config + workload) is a
-/// few KiB and a reply (SimStats) smaller still; anything larger means a
-/// desynchronized or corrupted stream and is an error, not an allocation.
-/// Shared with the TCP transport ([`crate::net::MAX_FRAME_BYTES`]).
-pub const MAX_FRAME_BYTES: usize = crate::net::MAX_FRAME_BYTES;
-
-/// Writes `doc` as one length-prefixed frame and flushes.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects frames over [`MAX_FRAME_BYTES`].
-pub fn write_frame(writer: &mut impl Write, doc: &Json) -> io::Result<()> {
-    crate::net::write_frame(writer, doc)
-}
-
-/// Reads one frame. `Ok(None)` is a clean EOF *at a frame boundary* (the
-/// peer closed the pipe between messages — the orderly shutdown signal);
-/// EOF mid-frame is an error.
-///
-/// Delegates to the typed [`crate::net::read_frame`] and flattens its
-/// [`FrameError`](crate::net::FrameError) into `io::Error` for the pipe
-/// transport, where the caller (supervisor/worker) treats every decode
-/// failure the same way: retire the peer.
-///
-/// # Errors
-///
-/// I/O errors, torn frames, oversize lengths, or non-JSON payloads.
-pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Json>> {
-    crate::net::read_frame(reader).map_err(io::Error::from)
-}
 
 /// A fault the supervisor asks the worker to realize *inside* the worker
 /// process, so isolation drills exercise the real containment path.
@@ -192,10 +161,9 @@ pub enum WorkerReply {
     },
     /// The cell failed inside the worker (panic or injected transient);
     /// the worker survives and can take another cell. A worker daemon
-    /// proxying a remote child also synthesizes this with
-    /// `kind: "crashed"` when the child dies, carrying the exit signal
-    /// or code so the dialer can classify the loss exactly as the local
-    /// supervisor would.
+    /// also sends this with `kind: "crashed"` when its child dies,
+    /// carrying the exit signal or code so the dialer can classify the
+    /// loss exactly as a local pool would.
     Err {
         /// Correlation id from the request.
         id: u64,
@@ -268,6 +236,39 @@ impl WorkerReply {
                 },
             }),
             _ => None,
+        }
+    }
+
+    /// The reply that reports `outcome` for cell `id`: the inverse of
+    /// [`outcome`](Self::outcome). A `crashed` reply carries the child's
+    /// exit evidence, so a worker daemon's client classifies the loss
+    /// exactly as a local pool would.
+    pub(crate) fn from_outcome(id: u64, outcome: Result<SimStats, CellError>) -> WorkerReply {
+        let (kind, message, signal, code) = match outcome {
+            Ok(stats) => {
+                return WorkerReply::Ok {
+                    id,
+                    stats: Box::new(stats),
+                }
+            }
+            Err(CellError::Panic { message, .. }) => ("panic", message, None, None),
+            Err(CellError::Transient { message, .. }) => ("transient", message, None, None),
+            Err(CellError::Crashed { signal, code, .. }) => {
+                let message = match (signal, code) {
+                    (Some(sig), _) => format!("remote worker killed by signal {sig}"),
+                    (None, Some(code)) => format!("remote worker exited with code {code}"),
+                    (None, None) => "remote worker died without a status".to_string(),
+                };
+                ("crashed", message, signal, code)
+            }
+            Err(other) => ("transient", other.to_string(), None, None),
+        };
+        WorkerReply::Err {
+            id,
+            kind: kind.to_string(),
+            message,
+            signal,
+            code,
         }
     }
 
@@ -702,6 +703,7 @@ pub fn config_from_json(doc: &Json) -> Option<FrontendConfig> {
 mod tests {
     use super::*;
     use crate::harness::config_fingerprint;
+    use crate::net::{read_frame, write_frame};
     use std::io::Cursor;
 
     /// A battery of configs covering every enum arm the codec must carry.

@@ -17,17 +17,19 @@
 //! * [`persist`] — atomic (write-to-temp + fsync + rename) result
 //!   persistence, so killed runs never leave torn files;
 //! * `exec` — the one seam every cell attempt goes through: an
-//!   `Executor` trait with in-process, worker-pipe ([`supervisor`]) and
-//!   TCP ([`fleet`]) implementations, and the single place an injected
-//!   fault is realised;
-//! * [`supervisor`] / [`worker`] / [`ipc`] — process-isolated cell
-//!   execution: a supervised pool of self-exec'd worker processes with
-//!   heartbeats, hard SIGKILL preemption, and typed crash classification
-//!   (`--isolate`); `child` owns the spawn/reap of those processes;
-//! * [`net`] / [`fleet`] — the distributed tier: hardened TCP framing
-//!   with a registration handshake, the `fdip workerd` daemon loop, and
-//!   the fleet dispatcher (`--fleet`) that survives node loss by
-//!   re-dispatching through the same retry taxonomy;
+//!   `Executor` trait with an in-process and an out-of-process
+//!   ([`pool`]) implementation, and the single place an injected fault is
+//!   realised;
+//! * [`pool`] — the out-of-process executor: seats holding links to
+//!   worker processes, local children over pipes (`--isolate`, sized by
+//!   [`supervisor`]) or worker daemons over TCP (`--fleet`), with
+//!   heartbeats, hard budgets, typed crash classification, crash-loop
+//!   pauses and node health;
+//! * [`worker`] / [`ipc`] / `child` — the self-exec'd worker process, its
+//!   wire protocol, and the spawn/reap of those processes;
+//! * [`net`] / [`fleet`] — the distributed tier's edges: the one frame
+//!   codec, the registration handshake, [`fleet::FleetConfig`], and the
+//!   `fdip workerd` daemon loop;
 //! * [`cache`] — the shared on-disk content-addressed result cache
 //!   (`--cache`);
 //! * [`chaos`] — the seeded chaos soak behind `fdip chaos`: rounds of
@@ -67,6 +69,7 @@ pub mod journal;
 pub mod net;
 pub mod options;
 pub mod persist;
+pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod supervisor;

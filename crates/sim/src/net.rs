@@ -1,13 +1,13 @@
-//! The fleet's network layer: typed frame decoding, handshake messages,
-//! and deadline-carrying TCP streams.
+//! The one frame codec, plus the fleet's handshake messages and
+//! deadline-carrying TCP streams.
 //!
-//! The PR 5 supervisor speaks length-prefixed JSON frames over a worker's
-//! stdin/stdout — a trusted transport where the only failure modes are
-//! EOF and a crashed peer. Moving the same frames onto TCP adds failure
-//! modes a pipe never has: a peer that vanishes mid-frame, a partition
-//! that silences the stream while both ends live, and bytes that were
-//! corrupted (or hostile) in flight. This module gives the frame codec
-//! teeth for that environment:
+//! Every worker link speaks length-prefixed JSON frames: a local pool
+//! seat over a child's stdin/stdout, and a fleet seat over TCP. A pipe is
+//! a trusted transport where the only failure modes are EOF and a crashed
+//! peer; TCP adds failure modes a pipe never has: a peer that vanishes
+//! mid-frame, a partition that silences the stream while both ends live,
+//! and bytes that were corrupted (or hostile) in flight. This module
+//! gives the frame codec teeth for that environment:
 //!
 //! * [`FrameError`] — a typed decode error. The length prefix is capped
 //!   *before* any allocation ([`FrameError::Oversized`]), so a corrupted
@@ -15,10 +15,9 @@
 //!   pre-allocation; truncation and garbage are distinguished from plain
 //!   I/O failure so callers can count and classify.
 //! * [`read_frame`] / [`write_frame`] — the codec itself, generic over
-//!   `Read`/`Write` so the same functions serve pipes and sockets. The
-//!   pipe-facing [`crate::ipc`] wrappers delegate here.
+//!   `Read`/`Write` so the same functions serve pipes and sockets.
 //! * [`Hello`] / [`Welcome`] — the registration handshake. A dialing
-//!   supervisor proves protocol version and build fingerprint before the
+//!   pool proves protocol version and build fingerprint before the
 //!   worker daemon accepts cells; a mismatched peer is refused with a
 //!   reason rather than fed frames it may misinterpret.
 //! * [`NetFault`] — the injectable network failures (`drop`, `partition`,
@@ -31,8 +30,7 @@ use std::time::Duration;
 
 use fdip_types::Json;
 
-/// Upper bound on one frame, shared with the pipe transport
-/// ([`crate::ipc::MAX_FRAME_BYTES`] re-exports this value). A run request
+/// Upper bound on one frame, on pipes and sockets alike. A run request
 /// (config + workload) is a few KiB and a reply smaller still; anything
 /// larger means a desynchronized, corrupted, or hostile stream.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;

@@ -37,7 +37,8 @@ impl Dispatch {
     ///
     /// # Errors
     ///
-    /// When `addrs` names no address.
+    /// When `addrs` names no address, or a `FDIP_FLEET_*_MS` override is
+    /// malformed (see [`FleetConfig::new`]).
     pub fn fleet(addrs: &str, heartbeat_ms: Option<u64>) -> Result<Dispatch, String> {
         let addrs: Vec<String> = addrs
             .split(',')
@@ -47,7 +48,7 @@ impl Dispatch {
         if addrs.is_empty() {
             return Err("--fleet needs at least one HOST:PORT address".to_string());
         }
-        let mut config = FleetConfig::new(addrs);
+        let mut config = FleetConfig::new(addrs)?;
         if let Some(ms) = heartbeat_ms {
             config.heartbeat_timeout = Duration::from_millis(ms);
         }
@@ -141,7 +142,7 @@ impl RunOptions {
                 "--batch" | "--batch=on" => options.batching = true,
                 "--batch=off" => options.batching = false,
                 "--fleet" => fleet = Some(value()?),
-                "--fleet-heartbeat-ms" => heartbeat_ms = Some(parse_heartbeat_ms(&value()?)?),
+                "--fleet-heartbeat-ms" => heartbeat_ms = Some(parse_positive_ms(&arg, &value()?)?),
                 "--cache" => options.cache = Some(PathBuf::from(value()?)),
                 "--journal" => options.journal = Some(PathBuf::from(value()?)),
                 "--faults" => {
@@ -207,16 +208,18 @@ impl RunOptions {
     }
 }
 
-/// Parses a `--fleet-heartbeat-ms` value (also `fdip serve`'s): a
-/// positive millisecond count, checked before anything dials.
+/// Parses the millisecond value `raw` of the flag or variable `name`
+/// (`--fleet-heartbeat-ms`, also `fdip serve`'s, and the
+/// `FDIP_FLEET_*_MS` overrides), checked before anything dials.
 ///
 /// # Errors
 ///
-/// When `raw` is not a positive integer.
-pub fn parse_heartbeat_ms(raw: &str) -> Result<u64, String> {
-    raw.parse::<u64>().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-        format!("bad --fleet-heartbeat-ms {raw:?} (want a positive millisecond count)")
-    })
+/// When `raw` is not a positive integer; the message names `name`.
+pub fn parse_positive_ms(name: &str, raw: &str) -> Result<u64, String> {
+    raw.parse::<u64>()
+        .ok()
+        .filter(|&ms| ms > 0)
+        .ok_or_else(|| format!("bad {name} {raw:?} (want a positive millisecond count)"))
 }
 
 fn parse_number<T: std::str::FromStr>(flag: &str, raw: &str, expected: &str) -> Result<T, String> {

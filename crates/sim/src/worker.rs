@@ -1,8 +1,8 @@
 //! The worker side of process-isolated cell execution.
 //!
-//! A worker is *this same binary*, re-executed by the supervisor
-//! (`crates/sim/src/supervisor.rs`) with [`WORKER_ENV`] set. It speaks
-//! the [`crate::ipc`] frame protocol on stdin/stdout: read a
+//! A worker is *this same binary*, re-executed by a local pool seat
+//! ([`crate::pool`]) or a worker daemon with [`WORKER_ENV`] set. It speaks
+//! the [`crate::ipc`] protocol in [`crate::net`] frames on stdin/stdout: read a
 //! [`RunRequest`], simulate the cell, reply `ok`/`err`, repeat until
 //! stdin reaches EOF. While a cell is in flight a dedicated thread emits
 //! heartbeat frames, so the supervisor can tell a *long* cell (heartbeats
@@ -33,7 +33,9 @@ use fdip::CancelToken;
 use fdip_trace::Trace;
 
 use crate::exec::{panic_message, simulate_with_fault};
-use crate::ipc::{read_frame, write_frame, RunRequest, WorkerReply};
+use crate::fault::CellError;
+use crate::ipc::{RunRequest, WorkerReply};
+use crate::net::{read_frame, write_frame};
 
 /// Environment variable that turns an invocation of a harness binary into
 /// a single-purpose cell worker (any non-empty value).
@@ -119,7 +121,7 @@ pub fn worker_main() -> i32 {
             if busy.load(Ordering::Relaxed) {
                 let mut out = stdout.lock().unwrap_or_else(PoisonError::into_inner);
                 if write_frame(&mut *out, &WorkerReply::Heartbeat.to_json()).is_err() {
-                    // Supervisor gone; nothing left to work for.
+                    // The pool is gone; nothing left to work for.
                     std::process::exit(0);
                 }
             }
@@ -150,10 +152,10 @@ pub fn worker_main() -> i32 {
 }
 
 /// Simulates one requested cell, realizing any injected fault on the way
-/// (the crash kinds exist to prove the supervisor contains exactly them).
+/// (the crash kinds exist to prove isolation contains exactly them).
 fn run_one(request: &RunRequest, traces: &mut HashMap<(String, usize), Trace>) -> WorkerReply {
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        // The budget is enforced by the supervisor's SIGKILL, not
+        // The budget is enforced by the pool's SIGKILL, not
         // cooperatively: a fresh token keeps the simulation path identical
         // to the in-process one without ever cancelling.
         simulate_with_fault(
@@ -168,24 +170,16 @@ fn run_one(request: &RunRequest, traces: &mut HashMap<(String, usize), Trace>) -
             },
         )
     }));
-    match outcome {
-        Ok(Ok(stats)) => WorkerReply::Ok {
-            id: request.id,
-            stats: Box::new(stats),
-        },
-        Ok(Err(fdip::Cancelled)) => WorkerReply::Err {
-            id: request.id,
-            kind: "transient".to_string(),
+    let outcome = match outcome {
+        Ok(Ok(stats)) => Ok(stats),
+        Ok(Err(fdip::Cancelled)) => Err(CellError::Transient {
             message: "worker cancel token fired unexpectedly".to_string(),
-            signal: None,
-            code: None,
-        },
-        Err(payload) => WorkerReply::Err {
-            id: request.id,
-            kind: "panic".to_string(),
+            attempts: 1,
+        }),
+        Err(payload) => Err(CellError::Panic {
             message: panic_message(payload.as_ref()),
-            signal: None,
-            code: None,
-        },
-    }
+            attempts: 1,
+        }),
+    };
+    WorkerReply::from_outcome(request.id, outcome)
 }

@@ -414,6 +414,36 @@ fn fleet_tuning_flags_validate_before_dialing_and_disabled_hedging_is_inert() {
     assert!(err.contains("--fleet-heartbeat-ms"), "{err}");
     assert!(!err.contains("unreachable at startup"), "{err}");
 
+    // The env overrides follow the flag's rule and fail just as early,
+    // each error naming its variable.
+    for (var, value) in [
+        ("FDIP_FLEET_HEARTBEAT_MS", "0"),
+        ("FDIP_FLEET_CONNECT_MS", "0"),
+        ("FDIP_FLEET_REPROBE_MS", "0"),
+        ("FDIP_FLEET_HEARTBEAT_MS", "soon"),
+        ("FDIP_FLEET_CONNECT_MS", "3s"),
+        ("FDIP_FLEET_REPROBE_MS", "-5"),
+    ] {
+        let out = fdip(&[
+            "exp",
+            "e01",
+            "--quick",
+            "--isolate=2",
+            "--fleet",
+            "127.0.0.1:1",
+        ])
+        .env(var, value)
+        .output()
+        .expect("spawn fdip");
+        assert!(!out.status.success(), "{var}={value} was accepted");
+        let err = stderr(&out);
+        assert!(err.contains(var), "{var}={value}: {err}");
+        assert!(
+            !err.contains("unreachable at startup"),
+            "{var}={value}: {err}"
+        );
+    }
+
     // A valid heartbeat override on a real fleet run stays byte-identical.
     let w = Workerd::spawn(2);
     let out = run(&[
